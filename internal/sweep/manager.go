@@ -746,22 +746,32 @@ func (sw *Sweep) revertToPending(n *node) {
 }
 
 // settleNode records a node's terminal state plus its result, fans the
-// failure policy out, persists, and wakes the scheduler.
+// failure policy out, persists, and wakes the scheduler. A result is
+// encoded and written to its content-addressed file before the node
+// flips to done, so no manifest ever advertises a digest whose file is
+// not on disk.
 func (sw *Sweep) settleNode(n *node, state NodeState, errMsg string, result any) {
-	var failed bool
+	var raw json.RawMessage
+	var digest string
+	if result != nil {
+		var err error
+		if raw, err = json.Marshal(result); err != nil {
+			state, errMsg, result = NodeFailed, "encode result: "+err.Error(), nil
+		} else {
+			digest = digestOf(raw)
+			if err := sw.m.writeResult(sw.id, digest, raw); err != nil {
+				state, errMsg, result = NodeFailed, fmt.Sprintf("write result %s: %v", digest, err), nil
+			}
+		}
+	}
+	failed := state == NodeFailed
 	sw.mu.Lock()
 	n.state = state
 	n.err = errMsg
 	if result != nil {
-		if raw, err := json.Marshal(result); err == nil {
-			n.result = raw
-			n.digest = digestOf(raw)
-		} else {
-			n.state = NodeFailed
-			n.err = "encode result: " + err.Error()
-		}
+		n.result = raw
+		n.digest = digest
 	}
-	failed = n.state == NodeFailed
 	if fr, ok := result.(*figResult); ok && n.state == NodeDone {
 		sw.artifacts = append(sw.artifacts, fr.Artifacts...)
 		sw.checks = append(sw.checks, fr.Checks...)
@@ -883,22 +893,37 @@ func (sw *Sweep) figure(n *node) (any, error) {
 	return fr, nil
 }
 
-// atomicWrite writes data via a temp file + rename so readers never
-// see partial artifacts.
+// atomicWrite writes data via a unique temp file in the target's
+// directory + rename, so readers never see partial files and two
+// concurrent writers of one path never share a temp name.
 func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write error is what matters
+	}
+	return err
 }
 
 // --- manifest persistence ------------------------------------------------
 
 // manifest is the persisted form of a sweep: spec plus per-node states
-// and results. The DAG itself is not stored — planning is
-// deterministic from the spec, and resume merges these states into a
-// fresh plan by node id.
+// and result digests. Results live in content-addressed files (see
+// resultPath), written once each. The DAG itself is not stored —
+// planning is deterministic from the spec, and resume merges these
+// states into a fresh plan by node id.
 type manifest struct {
 	// ID is the sweep id (also the manifest file stem).
 	ID string `json:"id"`
@@ -927,12 +952,47 @@ type manifestNode struct {
 	// JobID names the underlying sampling job, the resume reattach
 	// handle.
 	JobID string `json:"job_id,omitempty"`
-	// Result is the recorded result of a done node.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Digest is the sha256 of Result.
+	// Digest is the sha256 of a done node's result, which names its
+	// result file.
 	Digest string `json:"digest,omitempty"`
 	// Error describes a failure or skip.
 	Error string `json:"error,omitempty"`
+}
+
+// resultPath names the file holding a node result with the given
+// digest. The per-sweep subdirectory keeps result files out of
+// loadManifests' *.json scan.
+func (m *Manager) resultPath(sweepID, digest string) string {
+	return filepath.Join(m.dir, sweepID+".results", digest+".json")
+}
+
+// writeResult persists one node result under its digest (a no-op for
+// an in-memory manager).
+func (m *Manager) writeResult(sweepID, digest string, raw []byte) error {
+	if m.dir == "" {
+		return nil
+	}
+	path := m.resultPath(sweepID, digest)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return atomicWrite(path, raw)
+}
+
+// readResult loads a done node's result file and checks that it hashes
+// to the digest the manifest advertises.
+func (m *Manager) readResult(sweepID, nodeID, digest string) (json.RawMessage, error) {
+	if len(digest) != 64 || strings.Trim(digest, "0123456789abcdef") != "" {
+		return nil, fmt.Errorf("node %s has malformed result digest %q", nodeID, digest)
+	}
+	raw, err := os.ReadFile(m.resultPath(sweepID, digest))
+	if err != nil {
+		return nil, fmt.Errorf("node %s result %s: %w", nodeID, digest, err)
+	}
+	if got := digestOf(raw); got != digest {
+		return nil, fmt.Errorf("node %s result %s: file hashes to %s", nodeID, digest, got)
+	}
+	return raw, nil
 }
 
 // persist atomically writes the sweep's manifest.
@@ -954,7 +1014,7 @@ func (m *Manager) persist(sw *Sweep) {
 	for i, n := range sw.nodes {
 		man.Nodes[i] = manifestNode{
 			ID: n.id, State: n.state, JobID: n.jobID,
-			Result: n.result, Digest: n.digest, Error: n.err,
+			Digest: n.digest, Error: n.err,
 		}
 	}
 	sw.mu.Unlock()
@@ -993,16 +1053,11 @@ func (m *Manager) loadManifests() error {
 		if err != nil {
 			return fmt.Errorf("sweep: read manifest %s: %w", name, err)
 		}
-		var man manifest
-		if err := json.Unmarshal(data, &man); err != nil {
-			return fmt.Errorf("sweep: decode manifest %s: %w", name, err)
-		}
-		if man.ID == "" || man.ID != strings.TrimSuffix(name, ".json") {
-			return fmt.Errorf("sweep: manifest %s has mismatched id %q", name, man.ID)
-		}
-		if err := m.restore(man); err != nil {
+		man, err := decodeManifest(name, data)
+		if err != nil {
 			return err
 		}
+		m.start(m.restore(man))
 		if seq, ok := strings.CutPrefix(man.ID, "sweep-"); ok {
 			if v, err := strconv.Atoi(seq); err == nil && v > m.nextID {
 				m.nextID = v
@@ -1012,28 +1067,42 @@ func (m *Manager) loadManifests() error {
 	return nil
 }
 
-// restore rebuilds one sweep from its manifest: re-plan from the spec,
-// merge the persisted node states in by id, and restart the scheduler
-// when the sweep is not terminal. Previously running job nodes come
-// back as pending with their job id kept, so the scheduler reattaches
-// instead of resubmitting.
-func (m *Manager) restore(man manifest) error {
+// decodeManifest parses the manifest stored in the file name.
+func decodeManifest(name string, data []byte) (manifest, error) {
+	var man manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		return manifest{}, fmt.Errorf("sweep: decode manifest %s: %w", name, err)
+	}
+	if man.ID == "" || man.ID != strings.TrimSuffix(name, ".json") {
+		return manifest{}, fmt.Errorf("sweep: manifest %s has mismatched id %q", name, man.ID)
+	}
+	return man, nil
+}
+
+// restore rebuilds one sweep from its manifest: re-plan from the spec
+// and merge the persisted node states in by id. Previously running job
+// nodes come back as pending with their job id kept, so the scheduler
+// reattaches instead of resubmitting. A sweep that will run again
+// loads its done nodes' result files; a spec that no longer plans (the
+// hosted graph vanished), a missing or corrupted result file, or an
+// unknown node state ends it failed with a "resume:" error instead, and
+// its record survives.
+func (m *Manager) restore(man manifest) *Sweep {
 	var nodes []*node
 	g, gl, err := m.graphs.Graph(man.Spec.Graph)
 	if err == nil {
-		nodes, err = plan(man.Spec, g, gl)
+		if sp, nerr := m.normalize(man.Spec); nerr != nil || sp != man.Spec {
+			err = fmt.Errorf("manifest spec %+v is not a normalized spec", man.Spec)
+		} else {
+			nodes, err = plan(man.Spec, g, gl)
+		}
 	}
 	sw := m.newSweep(man.ID, man.Spec, man.TraceID, nodes)
 	sw.state = man.State
 	sw.artifacts = man.Artifacts
 	sw.checks = man.Checks
 	sw.errMsg = man.Error
-	if err != nil && !man.State.Terminal() {
-		// The hosted graph vanished (or the plan no longer applies):
-		// the sweep cannot continue, but its record should survive.
-		sw.state = StateFailed
-		sw.errMsg = "resume: " + err.Error()
-	}
+	resuming := !man.State.Terminal()
 	for _, mn := range man.Nodes {
 		n, ok := sw.byID[mn.ID]
 		if !ok {
@@ -1041,17 +1110,31 @@ func (m *Manager) restore(man manifest) error {
 		}
 		n.jobID = mn.JobID
 		switch mn.State {
-		case NodeRunning:
+		case NodePending, NodeRunning:
 			n.state = NodePending // reattach via jobID on restart
-		case NodePending:
-			n.state = NodePending
-		default:
+		case NodeDone, NodeFailed, NodeSkipped:
 			n.state = mn.State
 			n.err = mn.Error
-			n.result = mn.Result
 			n.digest = mn.Digest
+			if mn.State == NodeDone && resuming && err == nil {
+				n.result, err = m.readResult(man.ID, mn.ID, mn.Digest)
+			}
+		default:
+			if err == nil {
+				err = fmt.Errorf("node %s has unknown state %q", mn.ID, mn.State)
+			}
 		}
 	}
+	if err != nil && resuming {
+		sw.state = StateFailed
+		sw.errMsg = "resume: " + err.Error()
+	}
+	return sw
+}
+
+// start registers a restored sweep and restarts its scheduler when it
+// is not terminal.
+func (m *Manager) start(sw *Sweep) {
 	m.mu.Lock()
 	m.sweeps[sw.id] = sw
 	m.order = append(m.order, sw.id)
@@ -1062,5 +1145,4 @@ func (m *Manager) restore(man manifest) error {
 		m.wg.Add(1)
 		go sw.run()
 	}
-	return nil
 }

@@ -8,8 +8,9 @@
 // evaluates the paper's shape checks, and writes one JSON + one CSV
 // artifact file.
 //
-// Sweeps are resumable: a manifest holding per-node states and
-// completed-node results is persisted atomically in the manifest dir
+// Sweeps are resumable: each completed node's result is written once
+// to a content-addressed file, and a manifest holding per-node states
+// and result digests is persisted atomically in the manifest dir
 // (conventionally next to the job checkpoint dir) on every node
 // transition. Killing the process mid-sweep and constructing a new
 // Manager over the same directories resumes the sweep without
@@ -200,8 +201,8 @@ type Trace struct {
 }
 
 // jobResult is the recorded outcome of one done sampling-job node:
-// exactly the values aggregation consumes, serialized into the
-// manifest so resumed sweeps do not re-run the job.
+// exactly the values aggregation consumes, persisted in the node's
+// result file so resumed sweeps do not re-run the job.
 type jobResult struct {
 	// Observations is the number of qualifying observations consumed.
 	Observations int64 `json:"observations"`

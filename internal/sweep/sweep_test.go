@@ -66,7 +66,7 @@ func startPlanned(m *Manager, sp Spec, nodes []*node) *Sweep {
 	return sw
 }
 
-func waitTerminal(t *testing.T, sw *Sweep, timeout time.Duration) Status {
+func waitTerminal(t testing.TB, sw *Sweep, timeout time.Duration) Status {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	wake, stop := sw.Watch()
@@ -211,7 +211,7 @@ func TestCcdfToDensity(t *testing.T) {
 
 // newTestManagers builds a jobs manager over src and a sweep manager
 // over it, rooted in fresh temp dirs.
-func newTestManagers(t *testing.T, src crawl.Source, g *graph.Graph, gl *graph.GroupLabels, workers int) (*jobs.Manager, *Manager) {
+func newTestManagers(t testing.TB, src crawl.Source, g *graph.Graph, gl *graph.GroupLabels, workers int) (*jobs.Manager, *Manager) {
 	t.Helper()
 	jm, err := jobs.NewManager(src, jobs.WithWorkers(workers))
 	if err != nil {
@@ -230,18 +230,28 @@ func newTestManagers(t *testing.T, src crawl.Source, g *graph.Graph, gl *graph.G
 }
 
 // TestSweepFig5Smoke is the end-to-end acceptance run: a fig5 sweep on
-// a quick-scale Flickr stand-in must complete every node and pass the
-// paper's shape checks, with both artifact files on disk matching
-// their advertised digests. Seeds are fixed, so a pass is
-// deterministic. Scale 0.1 is the smallest at which the B=|V|/100
-// budget leaves the walkers enough steps for FS's advantage over
-// MultipleRW to show on the symmetric-degree CCDF (at 0.05 the budget
-// is 20 steps and the two methods tie).
+// the Flickr stand-in at its reproduction scale (1) must complete
+// every node and pass the paper's shape checks, with both artifact
+// files on disk matching their advertised digests and a digest-only
+// manifest. It runs sweep seeds 1–3, so a pass does not hinge on one
+// lucky seed: at scale 0.1 the B=|V|/100 budget is 40 steps and the
+// FS-beats-MultipleRW check passes for seed 1 but fails for seeds 2
+// and 3, while at scale 1 it passes for every seed tried (1–24).
 func TestSweepFig5Smoke(t *testing.T) {
-	ds := gen.FlickrLike(xrand.New(1), 0.1)
+	ds := gen.FlickrLike(xrand.New(1), 1)
 	_, m := newTestManagers(t, ds.Graph, ds.Graph, ds.Groups, 8)
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkFig5Sweep(t, m, seed)
+		})
+	}
+}
 
-	sw, err := m.Submit(Spec{Artifact: "fig5"})
+// checkFig5Sweep runs one fig5 sweep under the given seed and checks
+// its outcome, artifacts, persisted state and trace.
+func checkFig5Sweep(t *testing.T, m *Manager, seed uint64) {
+	t.Helper()
+	sw, err := m.Submit(Spec{Artifact: "fig5", Seed: seed})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -274,6 +284,7 @@ func TestSweepFig5Smoke(t *testing.T) {
 			t.Fatalf("artifact %s is %d bytes, advertised %d", a.Name, len(data), a.Bytes)
 		}
 	}
+	checkPersisted(t, m, st)
 	raw, err := os.ReadFile(filepath.Join(m.artDir, sw.ID(), "fig5.json"))
 	if err != nil {
 		t.Fatalf("read artifact: %v", err)
