@@ -203,6 +203,27 @@ func TestParseStopRule(t *testing.T) {
 	}
 }
 
+// FuzzParseStopRule: ParseStopRule never panics, and every rule it
+// accepts renders through String to a rule that parses back equal.
+func FuzzParseStopRule(f *testing.F) {
+	for _, s := range []string{
+		"ci_halfwidth<=0.01", "ci_rel<=0.005", "ess>=5000", "rhat<=1.05",
+		" ci_halfwidth <= 0.5 ", "", "ess<=10", "rhat<=1e-300", "ess>=1e+308",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseStopRule(s)
+		if err != nil || r == nil {
+			return
+		}
+		r2, err := ParseStopRule(r.String())
+		if err != nil || r2 == nil || *r2 != *r {
+			t.Fatalf("ParseStopRule(%q) = %+v, but its String %q parses to %+v, %v", s, *r, r.String(), r2, err)
+		}
+	})
+}
+
 // TestRuntimeConvergesAndStops: on a well-connected graph the CI
 // tightens and a ci_halfwidth rule fires well before a huge edge budget
 // is consumed, while the budget-only runtime never claims convergence.

@@ -1,13 +1,11 @@
 package netgraph
 
 import (
-	"bufio"
 	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -182,16 +180,9 @@ func Dial(baseURL string, hc *http.Client, opts ...Option) (*Client, error) {
 		hc2.Transport = c.res.wrap(base)
 		c.hc = &hc2
 	}
-	resp, err := c.get(c.ctx, c.gpath("/v1/meta"))
-	if err != nil {
-		return nil, fmt.Errorf("netgraph: dial: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorStatus("meta", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&c.meta); err != nil {
-		return nil, fmt.Errorf("netgraph: decoding meta: %w", err)
+	var err error
+	if c.meta, err = call[Meta](c.ctx, c, "meta", http.MethodGet, c.gpath("/v1/meta"), nil); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -419,19 +410,12 @@ func setTraceHeader(req *http.Request) {
 
 // fetchOne performs the single-vertex GET.
 func (c *Client) fetchOne(v int) (*VertexRecord, error) {
-	resp, err := c.get(c.ctx, c.gpath(fmt.Sprintf("/v1/vertex/%d", v)))
+	rec, err := call[VertexRecord](c.ctx, c, fmt.Sprintf("vertex %d", v),
+		http.MethodGet, c.gpath(fmt.Sprintf("/v1/vertex/%d", v)), nil)
 	if err != nil {
-		return nil, fmt.Errorf("netgraph: vertex %d: %w", v, err)
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorStatus(fmt.Sprintf("vertex %d", v), resp.StatusCode)
-	}
-	rec := &VertexRecord{}
-	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
-		return nil, fmt.Errorf("netgraph: decoding vertex %d: %w", v, err)
-	}
-	return rec, nil
+	return &rec, nil
 }
 
 // PrefetchVertices implements crawl.BatchSource: it fetches every
@@ -528,24 +512,13 @@ func (c *Client) abandonFlights(flights map[int]*inflightFetch, ids []int) {
 // fetchBatch performs one POST /v1/vertices round trip and returns the
 // records keyed by id.
 func (c *Client) fetchBatch(ids []int) (map[int]*VertexRecord, error) {
-	body, err := json.Marshal(BatchRequest{IDs: ids})
-	if err != nil {
-		return nil, fmt.Errorf("netgraph: encoding batch: %w", err)
-	}
 	// Batch fetches are read-only and idempotent, so they are marked
 	// hedge-eligible: under WithResilience(HedgeDelay > 0) a straggling
 	// batch gets a second chance instead of stalling the whole frontier.
-	resp, err := c.post(MarkHedgeable(c.ctx), c.gpath("/v1/vertices"), body)
+	br, err := call[BatchResponse](MarkHedgeable(c.ctx), c, fmt.Sprintf("batch of %d", len(ids)),
+		http.MethodPost, c.gpath("/v1/vertices"), BatchRequest{IDs: ids})
 	if err != nil {
-		return nil, fmt.Errorf("netgraph: batch of %d: %w", len(ids), err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorStatus(fmt.Sprintf("batch of %d", len(ids)), resp.StatusCode)
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, fmt.Errorf("netgraph: decoding batch: %w", err)
+		return nil, err
 	}
 	recs := make(map[int]*VertexRecord, len(br.Vertices))
 	for i := range br.Vertices {
@@ -683,21 +656,6 @@ func (c *Client) GroupLabelsSnapshot() (*graph.GroupLabels, error) {
 	return graph.NewGroupLabels(c.meta.NumGroups, membership), nil
 }
 
-// decodeStatus reads a job Status response, surfacing the server's
-// error text on non-2xx statuses.
-func decodeStatus(op string, resp *http.Response) (jobs.Status, error) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return jobs.Status{}, fmt.Errorf("netgraph: %s: status %d: %s", op, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var st jobs.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: decoding %s: %w", op, err)
-	}
-	return st, nil
-}
-
 // SubmitJob submits a sampling job to the server's job service
 // (POST /v1/jobs) and returns its initial status. A spec without a
 // Graph name inherits the client's WithGraph target, so a client dialed
@@ -706,25 +664,13 @@ func (c *Client) SubmitJob(ctx context.Context, spec jobs.Spec) (jobs.Status, er
 	if spec.Graph == "" {
 		spec.Graph = c.graph
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: encoding job spec: %w", err)
-	}
-	resp, err := c.post(ctx, "/v1/jobs", body)
-	if err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: submitting job: %w", err)
-	}
-	return decodeStatus("job submit", resp)
+	return call[jobs.Status](ctx, c, "job submit", http.MethodPost, "/v1/jobs", spec)
 }
 
 // Job returns the status (including partial estimates) of a job
 // (GET /v1/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id string) (jobs.Status, error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id)
-	if err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: job %s: %w", id, err)
-	}
-	return decodeStatus("job "+id, resp)
+	return call[jobs.Status](ctx, c, "job "+id, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // JobEstimates fetches a job's latest live estimation report
@@ -732,52 +678,20 @@ func (c *Client) Job(ctx context.Context, id string) (jobs.Status, error) {
 // mixing diagnostics and stop-rule verdict. It errors while the job has
 // not yet published a report (the server answers 404).
 func (c *Client) JobEstimates(ctx context.Context, id string) (live.Report, error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id+"/estimates")
-	if err != nil {
-		return live.Report{}, fmt.Errorf("netgraph: job estimates %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return live.Report{}, fmt.Errorf("netgraph: job estimates %s: status %d: %s",
-			id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var rep live.Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return live.Report{}, fmt.Errorf("netgraph: decoding job estimates %s: %w", id, err)
-	}
-	return rep, nil
+	return call[live.Report](ctx, c, "job estimates "+id, http.MethodGet, "/v1/jobs/"+id+"/estimates", nil)
 }
 
 // JobTrace fetches a job's span timeline (GET /v1/jobs/{id}/trace):
 // the queued→running→checkpoint→terminal lifecycle events plus any
 // crawl-level retry/hedge/breaker events the job's source emitted.
 func (c *Client) JobTrace(ctx context.Context, id string) (jobs.Trace, error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id+"/trace")
-	if err != nil {
-		return jobs.Trace{}, fmt.Errorf("netgraph: job trace %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return jobs.Trace{}, fmt.Errorf("netgraph: job trace %s: status %d: %s",
-			id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var tr jobs.Trace
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return jobs.Trace{}, fmt.Errorf("netgraph: decoding job trace %s: %w", id, err)
-	}
-	return tr, nil
+	return call[jobs.Trace](ctx, c, "job trace "+id, http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
 }
 
 // CancelJob cancels a job (POST /v1/jobs/{id}/cancel) and returns its
 // status after the cancel was recorded.
 func (c *Client) CancelJob(ctx context.Context, id string) (jobs.Status, error) {
-	resp, err := c.post(ctx, "/v1/jobs/"+id+"/cancel", nil)
-	if err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: cancelling job %s: %w", id, err)
-	}
-	return decodeStatus("job cancel "+id, resp)
+	return call[jobs.Status](ctx, c, "job cancel "+id, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil)
 }
 
 // WaitJob waits for a job to reach a terminal state (or ctx to end) and
@@ -803,28 +717,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (jo
 // — e.g. after their own FollowJob attempt failed — use it directly to
 // avoid WaitJob's redundant second stream attempt.
 func (c *Client) PollJob(ctx context.Context, id string, poll time.Duration) (jobs.Status, error) {
-	if poll <= 0 {
-		poll = c.pollInterval
-	}
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
+	return pollUntil(ctx, c, poll, func() (jobs.Status, error) { return c.Job(ctx, id) }, jobDone)
 }
 
 // FollowJob subscribes to a job's SSE progress stream
@@ -835,7 +728,8 @@ func (c *Client) PollJob(ctx context.Context, id string, poll time.Duration) (jo
 // the stream could not be opened or broke before a terminal event;
 // callers wanting the polling fallback use WaitJob.
 func (c *Client) FollowJob(ctx context.Context, id string, fn func(jobs.Status)) (jobs.Status, error) {
-	return c.followEvents(ctx, id, fn, nil)
+	return follow(ctx, c, "job events "+id, "/v1/jobs/"+id+"/events", jobDone, fn,
+		frames{"estimate": decodeFrame[live.Report](nil)})
 }
 
 // FollowEstimates subscribes to the same SSE stream but dispatches the
@@ -845,109 +739,13 @@ func (c *Client) FollowJob(ctx context.Context, id string, fn func(jobs.Status))
 // Intermediate reports may coalesce under load; the last one observed
 // is always the job's final report.
 func (c *Client) FollowEstimates(ctx context.Context, id string, fn func(live.Report)) (jobs.Status, error) {
-	return c.followEvents(ctx, id, nil, fn)
-}
-
-// followEvents consumes a job's SSE stream, dispatching "status" frames
-// to onStatus and "estimate" frames to onEstimate (either may be nil),
-// until the terminal status event.
-func (c *Client) followEvents(ctx context.Context, id string, onStatus func(jobs.Status), onEstimate func(live.Report)) (jobs.Status, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return jobs.Status{}, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	setTraceHeader(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return jobs.Status{}, fmt.Errorf("netgraph: job events %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return jobs.Status{}, fmt.Errorf("netgraph: job events %s: status %d: %s",
-			id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		return jobs.Status{}, fmt.Errorf("netgraph: job events %s: not an event stream (%s)", id, ct)
-	}
-
-	var last jobs.Status
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<14), 1<<20)
-	var data []byte
-	// Servers older than the estimates endpoint only ever send status
-	// frames, some without an explicit "event:" tag — default to status.
-	event := "status"
-	flush := func() error {
-		if len(data) == 0 {
-			event = "status"
-			return nil
-		}
-		defer func() { data, event = nil, "status" }()
-		switch event {
-		case "estimate":
-			var rep live.Report
-			if err := json.Unmarshal(data, &rep); err != nil {
-				return fmt.Errorf("netgraph: decoding estimate event: %w", err)
-			}
-			if onEstimate != nil {
-				onEstimate(rep)
-			}
-		case "status":
-			var st jobs.Status
-			if err := json.Unmarshal(data, &st); err != nil {
-				return fmt.Errorf("netgraph: decoding job event: %w", err)
-			}
-			last = st
-			if onStatus != nil {
-				onStatus(st)
-			}
-		default:
-			// Unknown event types are skipped: the stream may grow new
-			// frame kinds without breaking old clients.
-		}
-		return nil
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if err := flush(); err != nil {
-				return last, err
-			}
-			if last.State.Terminal() {
-				return last, nil
-			}
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		default:
-			// Comments and ids carry no payload we need.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, fmt.Errorf("netgraph: job events %s: %w", id, err)
-	}
-	return last, fmt.Errorf("netgraph: job events %s: stream ended before a terminal state", id)
+	return follow(ctx, c, "job events "+id, "/v1/jobs/"+id+"/events", jobDone, nil,
+		frames{"estimate": decodeFrame(fn)})
 }
 
 // Health fetches the server's liveness summary (GET /healthz).
 func (c *Client) Health(ctx context.Context) (Health, error) {
-	resp, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return Health{}, fmt.Errorf("netgraph: health: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Health{}, errorStatus("health", resp.StatusCode)
-	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("netgraph: decoding health: %w", err)
-	}
-	return h, nil
+	return call[Health](ctx, c, "health", http.MethodGet, "/healthz", nil)
 }
 
 // lruCache is a capacity-bounded least-recently-used vertex cache.

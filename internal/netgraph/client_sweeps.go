@@ -1,33 +1,14 @@
 package netgraph
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"frontier/internal/sweep"
 )
-
-// decodeSweepStatus reads a sweep Status response, surfacing the
-// server's error text on non-2xx statuses.
-func decodeSweepStatus(op string, resp *http.Response) (sweep.Status, error) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return sweep.Status{}, fmt.Errorf("netgraph: %s: status %d: %s", op, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var st sweep.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: decoding %s: %w", op, err)
-	}
-	return st, nil
-}
 
 // SubmitSweep submits a paper-figure sweep to the server's sweep
 // service (POST /v1/sweeps) and returns its initial status, including
@@ -37,54 +18,27 @@ func (c *Client) SubmitSweep(ctx context.Context, spec sweep.Spec) (sweep.Status
 	if spec.Graph == "" {
 		spec.Graph = c.graph
 	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: encoding sweep spec: %w", err)
-	}
-	resp, err := c.post(ctx, "/v1/sweeps", body)
-	if err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: submitting sweep: %w", err)
-	}
-	return decodeSweepStatus("sweep submit", resp)
+	return call[sweep.Status](ctx, c, "sweep submit", http.MethodPost, "/v1/sweeps", spec)
 }
 
 // Sweep returns a sweep's status — the per-node state tree, artifacts
 // and checks so far (GET /v1/sweeps/{id}).
 func (c *Client) Sweep(ctx context.Context, id string) (sweep.Status, error) {
-	resp, err := c.get(ctx, "/v1/sweeps/"+id)
-	if err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: sweep %s: %w", id, err)
-	}
-	return decodeSweepStatus("sweep "+id, resp)
+	return call[sweep.Status](ctx, c, "sweep "+id, http.MethodGet, "/v1/sweeps/"+id, nil)
 }
 
 // Sweeps lists every tracked sweep's status in submission order
 // (GET /v1/sweeps).
 func (c *Client) Sweeps(ctx context.Context) ([]sweep.Status, error) {
-	resp, err := c.get(ctx, "/v1/sweeps")
-	if err != nil {
-		return nil, fmt.Errorf("netgraph: sweeps: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorStatus("sweeps", resp.StatusCode)
-	}
-	var out SweepList
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("netgraph: decoding sweeps: %w", err)
-	}
-	return out.Sweeps, nil
+	out, err := call[SweepList](ctx, c, "sweeps", http.MethodGet, "/v1/sweeps", nil)
+	return out.Sweeps, err
 }
 
 // CancelSweep cancels a sweep (POST /v1/sweeps/{id}/cancel): in-flight
 // node jobs are cancelled and pending nodes skipped. Returns the
 // status after the cancel was recorded.
 func (c *Client) CancelSweep(ctx context.Context, id string) (sweep.Status, error) {
-	resp, err := c.post(ctx, "/v1/sweeps/"+id+"/cancel", nil)
-	if err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: cancelling sweep %s: %w", id, err)
-	}
-	return decodeSweepStatus("sweep cancel "+id, resp)
+	return call[sweep.Status](ctx, c, "sweep cancel "+id, http.MethodPost, "/v1/sweeps/"+id+"/cancel", nil)
 }
 
 // SweepTrace fetches a sweep's stage-event timeline
@@ -92,53 +46,27 @@ func (c *Client) CancelSweep(ctx context.Context, id string) (sweep.Status, erro
 // every job it spawned, with submit/plan/node/artifact/terminal
 // events.
 func (c *Client) SweepTrace(ctx context.Context, id string) (sweep.Trace, error) {
-	resp, err := c.get(ctx, "/v1/sweeps/"+id+"/trace")
-	if err != nil {
-		return sweep.Trace{}, fmt.Errorf("netgraph: sweep trace %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return sweep.Trace{}, fmt.Errorf("netgraph: sweep trace %s: status %d: %s",
-			id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var tr sweep.Trace
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return sweep.Trace{}, fmt.Errorf("netgraph: decoding sweep trace %s: %w", id, err)
-	}
-	return tr, nil
+	return call[sweep.Trace](ctx, c, "sweep trace "+id, http.MethodGet, "/v1/sweeps/"+id+"/trace", nil)
 }
 
 // SweepArtifacts lists a sweep's written artifact files with sizes and
 // sha256 digests (GET /v1/sweeps/{id}/artifacts).
 func (c *Client) SweepArtifacts(ctx context.Context, id string) ([]sweep.ArtifactInfo, error) {
-	resp, err := c.get(ctx, "/v1/sweeps/"+id+"/artifacts")
-	if err != nil {
-		return nil, fmt.Errorf("netgraph: sweep artifacts %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorStatus("sweep artifacts "+id, resp.StatusCode)
-	}
-	var out SweepArtifactList
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("netgraph: decoding sweep artifacts %s: %w", id, err)
-	}
-	return out.Artifacts, nil
+	out, err := call[SweepArtifactList](ctx, c, "sweep artifacts "+id, http.MethodGet, "/v1/sweeps/"+id+"/artifacts", nil)
+	return out.Artifacts, err
 }
 
 // SweepArtifact downloads one artifact file's bytes
 // (GET /v1/sweeps/{id}/artifacts/{name}).
 func (c *Client) SweepArtifact(ctx context.Context, id, name string) ([]byte, error) {
+	op := "sweep artifact " + id + "/" + name
 	resp, err := c.get(ctx, "/v1/sweeps/"+id+"/artifacts/"+name)
 	if err != nil {
-		return nil, fmt.Errorf("netgraph: sweep artifact %s/%s: %w", id, name, err)
+		return nil, fmt.Errorf("netgraph: %s: %w", op, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("netgraph: sweep artifact %s/%s: status %d: %s",
-			id, name, resp.StatusCode, bytes.TrimSpace(msg))
+	if err := statusError(op, resp); err != nil {
+		return nil, err
 	}
 	return io.ReadAll(resp.Body)
 }
@@ -159,28 +87,7 @@ func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (
 // PollSweep re-fetches a sweep's status every poll interval (<= 0
 // means the WithPollInterval setting) until a terminal state.
 func (c *Client) PollSweep(ctx context.Context, id string, poll time.Duration) (sweep.Status, error) {
-	if poll <= 0 {
-		poll = c.pollInterval
-	}
-	if poll <= 0 {
-		poll = DefaultPollInterval
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Sweep(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
+	return pollUntil(ctx, c, poll, func() (sweep.Status, error) { return c.Sweep(ctx, id) }, sweepDone)
 }
 
 // FollowSweep subscribes to a sweep's SSE progress stream
@@ -190,74 +97,5 @@ func (c *Client) PollSweep(ctx context.Context, id string, poll time.Duration) (
 // could not be opened or broke before a terminal event; callers
 // wanting the polling fallback use WaitSweep.
 func (c *Client) FollowSweep(ctx context.Context, id string, fn func(sweep.Status)) (sweep.Status, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/sweeps/"+id+"/events", nil)
-	if err != nil {
-		return sweep.Status{}, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	setTraceHeader(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return sweep.Status{}, fmt.Errorf("netgraph: sweep events %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return sweep.Status{}, fmt.Errorf("netgraph: sweep events %s: status %d: %s",
-			id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		return sweep.Status{}, fmt.Errorf("netgraph: sweep events %s: not an event stream (%s)", id, ct)
-	}
-
-	var last sweep.Status
-	sc := bufio.NewScanner(resp.Body)
-	// Sweep status frames carry the full node tree; size the line
-	// buffer for hundreds of nodes.
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var data []byte
-	event := "status"
-	flush := func() error {
-		if len(data) == 0 {
-			event = "status"
-			return nil
-		}
-		defer func() { data, event = nil, "status" }()
-		if event != "status" {
-			// Unknown event types are skipped: the stream may grow new
-			// frame kinds without breaking old clients.
-			return nil
-		}
-		var st sweep.Status
-		if err := json.Unmarshal(data, &st); err != nil {
-			return fmt.Errorf("netgraph: decoding sweep event: %w", err)
-		}
-		last = st
-		if fn != nil {
-			fn(st)
-		}
-		return nil
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if err := flush(); err != nil {
-				return last, err
-			}
-			if last.State.Terminal() {
-				return last, nil
-			}
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		default:
-			// Comments and ids carry no payload we need.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, fmt.Errorf("netgraph: sweep events %s: %w", id, err)
-	}
-	return last, fmt.Errorf("netgraph: sweep events %s: stream ended before a terminal state", id)
+	return follow(ctx, c, "sweep events "+id, "/v1/sweeps/"+id+"/events", sweepDone, fn, nil)
 }

@@ -82,7 +82,10 @@ func (f FaultSpec) statuses() []int {
 //	rate=0.1,seed=7,statuses=429+500+503,burst=3,drop=0.2,slow=0.05:5ms,flap=200:40
 //
 // Keys: rate, seed, statuses (plus-separated), burst, drop,
-// slow=RATE:DELAY, flap=EVERY:FOR. Unknown keys are an error.
+// slow=RATE:DELAY, flap=EVERY:FOR. Unknown keys are an error. Rates
+// (rate, drop and slow's RATE) must be finite and in [0,1]; burst,
+// slow's DELAY and flap's counts must be non-negative, and a given flap
+// needs EVERY >= 1.
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	var spec FaultSpec
 	for _, term := range strings.Split(s, ",") {
@@ -97,13 +100,13 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		var err error
 		switch key {
 		case "rate":
-			spec.Rate, err = strconv.ParseFloat(val, 64)
+			spec.Rate, err = parseRate(val)
 		case "seed":
 			spec.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "burst":
-			spec.Burst, err = strconv.Atoi(val)
+			spec.Burst, err = parseCount(val)
 		case "drop":
-			spec.DropRate, err = strconv.ParseFloat(val, 64)
+			spec.DropRate, err = parseRate(val)
 		case "statuses":
 			for _, sv := range strings.Split(val, "+") {
 				st, serr := strconv.Atoi(sv)
@@ -117,16 +120,22 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 			if !ok {
 				return FaultSpec{}, fmt.Errorf("netgraph: bad slow term %q (want slow=RATE:DELAY)", val)
 			}
-			if spec.SlowRate, err = strconv.ParseFloat(rateStr, 64); err == nil {
+			if spec.SlowRate, err = parseRate(rateStr); err == nil {
 				spec.SlowDelay, err = time.ParseDuration(delayStr)
+			}
+			if err == nil && spec.SlowDelay < 0 {
+				err = fmt.Errorf("delay %v is negative", spec.SlowDelay)
 			}
 		case "flap":
 			everyStr, forStr, ok := strings.Cut(val, ":")
 			if !ok {
 				return FaultSpec{}, fmt.Errorf("netgraph: bad flap term %q (want flap=EVERY:FOR)", val)
 			}
-			if spec.FlapEvery, err = strconv.Atoi(everyStr); err == nil {
-				spec.FlapFor, err = strconv.Atoi(forStr)
+			if spec.FlapEvery, err = parseCount(everyStr); err == nil {
+				spec.FlapFor, err = parseCount(forStr)
+			}
+			if err == nil && spec.FlapEvery < 1 {
+				err = fmt.Errorf("flap period %d is not positive", spec.FlapEvery)
 			}
 		default:
 			return FaultSpec{}, fmt.Errorf("netgraph: unknown fault key %q", key)
@@ -136,6 +145,24 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// parseRate parses a probability: a finite number in [0,1].
+func parseRate(s string) (float64, error) {
+	r, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(r >= 0 && r <= 1) {
+		err = fmt.Errorf("rate %v is outside [0,1]", r)
+	}
+	return r, err
+}
+
+// parseCount parses a non-negative integer.
+func parseCount(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("%d is negative", n)
+	}
+	return n, err
 }
 
 // faultAction is one request's injected fate.

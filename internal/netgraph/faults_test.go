@@ -46,12 +46,50 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		"flap=10",         // missing window length
 		"seed=-1",         // negative seed
 		"burst=many",      // not an int
+		"rate=NaN",        // not a probability
+		"rate=-1",         // below 0
+		"rate=1.5",        // above 1
+		"drop=2",          // above 1
+		"burst=-3",        // negative run length
+		"flap=-5:3",       // negative period
+		"flap=0:3",        // a given flap needs a period
+		"flap=10:-1",      // negative window
+		"slow=0.5:-1ms",   // negative delay
+		"slow=Inf:5ms",    // not a probability
 	}
 	for _, s := range bad {
 		if _, err := ParseFaultSpec(s); err == nil {
 			t.Fatalf("ParseFaultSpec(%q) accepted, want error", s)
 		}
 	}
+}
+
+// FuzzParseFaultSpec: ParseFaultSpec never panics, and every spec it
+// accepts lies within the documented ranges.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"rate=0.1,seed=7,statuses=429+500+503,burst=3,drop=0.2,slow=0.05:5ms,flap=200:40",
+		" rate=0.5 , ", "rate=NaN", "flap=-5:3", "slow=Inf:5ms", "slow=0.5:-1ms", "burst=-3",
+	} {
+		f.Add(s)
+	}
+	unit := func(r float64) bool { return r >= 0 && r <= 1 }
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		if !unit(spec.Rate) || !unit(spec.DropRate) || !unit(spec.SlowRate) ||
+			spec.Burst < 0 || spec.SlowDelay < 0 || spec.FlapEvery < 0 || spec.FlapFor < 0 ||
+			(spec.FlapEvery == 0 && spec.FlapFor != 0) {
+			t.Fatalf("ParseFaultSpec(%q) accepted out-of-range %+v", s, spec)
+		}
+		for _, st := range spec.Statuses {
+			if st < 400 || st > 599 {
+				t.Fatalf("ParseFaultSpec(%q) accepted status %d", s, st)
+			}
+		}
+	})
 }
 
 // TestFaultInjectorDeterminism: the same spec yields the exact same

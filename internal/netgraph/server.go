@@ -642,27 +642,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	// The stream outlives any server read or write deadline; clear both
-	// so slow jobs are not cut off mid-stream — a server ReadTimeout
-	// would otherwise fire its whole-connection deadline ~10s in and
-	// cancel the request context (ignored where unsupported).
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	_ = rc.SetReadDeadline(time.Time{})
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	wake, stop := j.Watch()
-	defer stop()
-	last := int64(-1)
-	lastEst := int64(0)
-	for {
+	last, lastEst := int64(-1), int64(0)
+	serveEvents(w, r, j.Watch, func(send func(string, any)) bool {
 		st, v := j.StatusVersion()
 		// Estimate frames ride the same wake channel: one frame per
 		// report refresh the stream observes (intermediate refreshes
@@ -672,35 +653,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		// already be on the wire by then.
 		if rep, seq, ok := j.EstimateReport(); ok && seq != lastEst {
 			lastEst = seq
-			data, err := json.Marshal(rep)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: estimate\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
+			send("estimate", rep)
 		}
 		if v != last {
 			last = v
-			data, err := json.Marshal(st)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: status\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
+			send("status", st)
 		}
-		if st.State.Terminal() {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wake:
-		}
-	}
+		return st.State.Terminal()
+	})
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -920,9 +880,4 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 		// Connection-level failure; response already partially written.
 		_ = err
 	}
-}
-
-// errorStatus maps an HTTP status to an error.
-func errorStatus(op string, code int) error {
-	return fmt.Errorf("netgraph: %s: unexpected status %d", op, code)
 }

@@ -3,10 +3,8 @@ package netgraph
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"frontier/internal/jobs"
 	"frontier/internal/obs"
@@ -81,45 +79,15 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such sweep", http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	// Sweeps outlive any server read or write deadline; clear both so
-	// long sweeps are not cut off mid-stream.
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	_ = rc.SetReadDeadline(time.Time{})
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	wake, stop := sw.Watch()
-	defer stop()
 	last := int64(-1)
-	for {
+	serveEvents(w, r, sw.Watch, func(send func(string, any)) bool {
 		st, v := sw.StatusVersion()
 		if v != last {
 			last = v
-			data, err := json.Marshal(st)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: status\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
+			send("status", st)
 		}
-		if st.State.Terminal() {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wake:
-		}
-	}
+		return st.State.Terminal()
+	})
 }
 
 // handleSweepTrace serves the sweep's stage-event timeline: submit,

@@ -1057,7 +1057,15 @@ func (m *Manager) loadManifests() error {
 		if err != nil {
 			return err
 		}
-		m.start(m.restore(man))
+		sw := m.restore(man)
+		if !man.State.Terminal() && sw.state.Terminal() {
+			// Failed at resume: nothing will reattach to the sweep's
+			// in-flight jobs, and the failure must not be re-derived at
+			// every restart.
+			m.cancelInflight(man)
+			m.persist(sw)
+		}
+		m.start(sw)
 		if seq, ok := strings.CutPrefix(man.ID, "sweep-"); ok {
 			if v, err := strconv.Atoi(seq); err == nil && v > m.nextID {
 				m.nextID = v
@@ -1130,6 +1138,18 @@ func (m *Manager) restore(man manifest) *Sweep {
 		sw.errMsg = "resume: " + err.Error()
 	}
 	return sw
+}
+
+// cancelInflight cancels the jobs a manifest's pending and running
+// nodes were attached to.
+func (m *Manager) cancelInflight(man manifest) {
+	for _, mn := range man.Nodes {
+		if mn.JobID != "" && (mn.State == NodePending || mn.State == NodeRunning) {
+			// A job that already ended, or that the job manager no
+			// longer holds, has nothing left to stop.
+			_ = m.jobs.Cancel(mn.JobID)
+		}
+	}
 }
 
 // start registers a restored sweep and restarts its scheduler when it

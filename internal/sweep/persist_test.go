@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"frontier/internal/crawl"
 	"frontier/internal/gen"
 	"frontier/internal/graph"
 	"frontier/internal/jobs"
@@ -85,10 +86,11 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // resumeFrom builds fresh job and sweep managers over the jobs, sweeps
-// and artifacts directories under root, resuming what they hold.
-func resumeFrom(t *testing.T, g *graph.Graph, root string) *Manager {
+// and artifacts directories under root, resuming what they hold. Jobs
+// sample src; sweeps plan on g.
+func resumeFrom(t *testing.T, src crawl.Source, g *graph.Graph, root string) *Manager {
 	t.Helper()
-	jm, err := jobs.NewManager(g, jobs.WithWorkers(2), jobs.WithCheckpointDir(filepath.Join(root, "jobs")))
+	jm, err := jobs.NewManager(src, jobs.WithWorkers(2), jobs.WithCheckpointDir(filepath.Join(root, "jobs")))
 	if err != nil {
 		t.Fatalf("resumed jobs manager: %v", err)
 	}
@@ -107,7 +109,9 @@ func resumeFrom(t *testing.T, g *graph.Graph, root string) *Manager {
 // which must finish to the uninterrupted run's artifacts), with one
 // done node's result file deleted, and with one byte of that file
 // flipped. Each damaged copy must end failed with a resume error
-// naming the node and its digest, never finish with other artifacts.
+// naming the node and its digest, never finish with other artifacts,
+// cancel the jobs its frozen nodes were running, and persist the
+// failure.
 func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 	g := gen.BarabasiAlbert(xrand.New(11), 800, 3)
 	spec := Spec{Artifact: "fig1", Seed: 5, Runs: 12, Parallel: 2}
@@ -124,7 +128,8 @@ func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 	checkPersisted(t, control, cst)
 	want := artifactBytes(t, control, cst)
 
-	// Freeze a slowed run mid-sweep.
+	// Freeze a slowed run mid-sweep, with nodes done and jobs in
+	// flight.
 	frozenRoot := t.TempDir()
 	slow := &slowSource{g: g, delay: time.Millisecond}
 	jm1, err := jobs.NewManager(slow, jobs.WithWorkers(2),
@@ -142,7 +147,8 @@ func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	deadline := time.Now().Add(time.Minute)
-	for st := sw1.Status(); st.NodeCounts[NodeDone] < 3 && !st.State.Terminal(); st = sw1.Status() {
+	for st := sw1.Status(); (st.NodeCounts[NodeDone] < 3 || st.NodeCounts[NodeRunning] == 0) &&
+		!st.State.Terminal(); st = sw1.Status() {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep made no progress before the freeze")
 		}
@@ -190,7 +196,14 @@ func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 					t.Fatalf("damage %s: %v", path, err)
 				}
 			}
-			m := resumeFrom(t, g, root)
+			// Damaged copies resume on the slowed source, so their
+			// in-flight jobs cannot finish before the resume cancels
+			// them.
+			var src crawl.Source = g
+			if tc.damage != nil {
+				src = slow
+			}
+			m := resumeFrom(t, src, g, root)
 			sw, ok := m.Get(frozen.ID)
 			if !ok {
 				t.Fatalf("resumed manager lost sweep %s", frozen.ID)
@@ -202,6 +215,18 @@ func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 				}
 				if len(st.Artifacts) != 0 {
 					t.Fatalf("damaged resume wrote artifacts %+v", st.Artifacts)
+				}
+				checkInflightCancelled(t, jm1, m.jobs, frozen)
+				data, err := os.ReadFile(filepath.Join(root, "sweeps", frozen.ID+".json"))
+				if err != nil {
+					t.Fatalf("read manifest: %v", err)
+				}
+				man, err := decodeManifest(frozen.ID+".json", data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if man.State != StateFailed || man.Error != st.Error {
+					t.Fatalf("manifest on disk reads %s (%q), want failed (%q)", man.State, man.Error, st.Error)
 				}
 				return
 			}
@@ -220,6 +245,46 @@ func TestSweepResumeVerifiesResultFiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkInflightCancelled asserts that every job a frozen sweep's nodes
+// had in flight (not terminal in the frozen job manager) ends cancelled
+// in the resumed one, and that no resumed job is left queued or
+// running.
+func checkInflightCancelled(t *testing.T, frozenJobs, resumed *jobs.Manager, frozen Status) {
+	t.Helper()
+	inflight := 0
+	for _, n := range frozen.Nodes {
+		fj, ok := frozenJobs.Get(n.JobID)
+		if n.JobID == "" || !ok || fj.Status().State.Terminal() {
+			continue
+		}
+		inflight++
+		j, ok := resumed.Get(n.JobID)
+		if !ok {
+			t.Fatalf("resumed job manager lost job %s", n.JobID)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for !j.Status().State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s of the failed sweep still %s", n.JobID, j.Status().State)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := j.Status().State; got != jobs.StateCancelled {
+			t.Errorf("job %s of the failed sweep ended %s, want cancelled", n.JobID, got)
+		}
+	}
+	if inflight == 0 {
+		// Every job the freeze caught running finished before its job
+		// manager stopped; only the checks below apply.
+		t.Logf("the freeze left no jobs in flight: %v", frozen.NodeCounts)
+	}
+	for _, j := range resumed.Jobs() {
+		if st := j.Status().State; !st.Terminal() {
+			t.Errorf("job %s still %s after its sweep failed at resume", j.ID(), st)
+		}
 	}
 }
 
