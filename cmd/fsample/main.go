@@ -101,9 +101,9 @@ func main() {
 		poll      = flag.Duration("poll", 0, "with -remote-job, polling interval when SSE is unavailable (0 = client default)")
 		timeout   = flag.Duration("timeout", 0, "overall run timeout (0 = none); cancels in-flight requests and unwinds sampling")
 
-		// Resilience middleware flags (remote crawls; see netgraph.WithResilience).
+		// Resilience flags (remote crawls; see netgraph.WithResilience).
 		// Setting any of them wraps the client's transport in the chain
-		// Retry → CircuitBreak → RateLimit → Hedge → AttemptTimeout.
+		// retry → breaker → limiter → hedge → attempt timeout.
 		retriesF       = flag.Int("retries", 0, "max attempts per request incl. the first (0 = no resilience chain; 1 = chain without retries)")
 		retryBase      = flag.Duration("retry-base", 0, "base backoff before the first retry (0 = 50ms default)")
 		retryMax       = flag.Duration("retry-max", 0, "backoff cap, Retry-After included (0 = 5s default)")

@@ -6,11 +6,13 @@
 // model, graph I/O, an HTTP graph-crawling stack, and an experiment
 // harness that regenerates every table and figure of the paper.
 //
-// This file is the public facade: it re-exports the library's primary
-// types and constructors so that applications can depend on the single
-// import "frontier". The implementation lives in the internal packages
-// (internal/core, internal/graph, internal/estimate, ...), one per
-// subsystem; see DESIGN.md for the system inventory.
+// This file is the public facade: it re-exports the library types and
+// constructors that the examples and root tests use, plus every type,
+// constant and error their signatures need, so that applications can
+// depend on the single import "frontier". The implementation lives in
+// the internal packages (internal/core, internal/graph,
+// internal/estimate, ...), one per subsystem; see DESIGN.md for the
+// system inventory.
 //
 // # Quick start
 //
@@ -28,7 +30,6 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"net/http"
 	"time"
 
 	"frontier/internal/core"
@@ -52,8 +53,6 @@ type (
 	// Graph is an immutable labeled directed graph plus its symmetric
 	// counterpart; all walks run on the symmetric view.
 	Graph = graph.Graph
-	// Builder accumulates directed edges and produces a Graph.
-	Builder = graph.Builder
 	// Edge is a directed edge.
 	Edge = graph.Edge
 	// GroupLabels assigns special-interest group labels to vertices.
@@ -70,12 +69,6 @@ const (
 	OutDeg = graph.OutDeg
 	SymDeg = graph.SymDeg
 )
-
-// NewBuilder creates a builder for a graph with n vertices.
-func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// FromEdges builds a graph with n vertices from a directed edge list.
-func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
 // CCDF converts a density into its complementary CDF.
 func CCDF(theta []float64) []float64 { return graph.CCDF(theta) }
@@ -94,16 +87,13 @@ type (
 	// Session mediates budgeted graph access for one sampling run.
 	Session = crawl.Session
 	// SessionCheckpoint is a session's serializable mid-run state
-	// (budget, cost model, stats, RNG); see ResumeSession.
+	// (budget, cost model, stats, RNG), as Session.Checkpoint returns it.
 	SessionCheckpoint = crawl.SessionCheckpoint
 	// CostModel prices each query type (steps, vertex and edge queries,
 	// hit ratios).
 	CostModel = crawl.CostModel
 	// Source is the minimal neighborhood-query interface walks need.
 	Source = crawl.Source
-	// BatchSource is the optional batched-prefetch extension of Source
-	// (implemented by GraphClient; a no-op on in-memory graphs).
-	BatchSource = crawl.BatchSource
 	// IndexedSource is the optional contiguous-adjacency (CSR) extension
 	// of Source that the allocation-free batched sampler loops walk
 	// (implemented by Graph).
@@ -132,12 +122,6 @@ func NewSessionContext(ctx context.Context, src Source, budget float64, model Co
 	return crawl.NewSessionContext(ctx, src, budget, model, rng)
 }
 
-// ResumeSession rebuilds a session from a checkpoint, continuing
-// byte-identically where the checkpointed session stopped.
-func ResumeSession(ctx context.Context, src Source, cp SessionCheckpoint) (*Session, error) {
-	return crawl.ResumeSession(ctx, src, cp)
-}
-
 // Samplers (internal/core — the paper's contribution and baselines).
 type (
 	// FrontierSampler is Algorithm 1: the m-dimensional random walk.
@@ -159,10 +143,6 @@ type (
 	RandomVertexSampler = core.RandomVertexSampler
 	// RandomEdgeSampler draws uniform edges with replacement.
 	RandomEdgeSampler = core.RandomEdgeSampler
-	// JumpRW is a single random walk with uniform restarts — the
-	// paper's hybrid between RW and random vertex sampling (restart
-	// probability w/(w+deg(v)), stationary law ∝ deg(v)+w).
-	JumpRW = core.JumpRW
 	// EdgeSampler is the interface all edge-emitting samplers satisfy.
 	EdgeSampler = core.EdgeSampler
 	// Resumable is an EdgeSampler whose run can be snapshotted at a step
@@ -176,7 +156,7 @@ type (
 	// ObservationFunc receives weighted observations.
 	ObservationFunc = core.ObsFunc
 	// BatchObservationFunc receives weighted observations in pooled
-	// slabs of up to SlabSize — the allocation-free hot-path surface.
+	// slabs — the allocation-free hot-path surface.
 	// Consumers must not retain a slab (or any subslice) past the
 	// callback; it is recycled the moment the callback returns.
 	BatchObservationFunc = core.BatchObsFunc
@@ -197,8 +177,6 @@ type (
 	VertexSampler = core.VertexSampler
 	// Seeder chooses initial walker positions.
 	Seeder = core.Seeder
-	// UniformSeeder seeds walkers at uniformly random vertices.
-	UniformSeeder = core.UniformSeeder
 	// StationarySeeder seeds walkers proportionally to degree.
 	StationarySeeder = core.StationarySeeder
 	// FixedSeeder seeds walkers at predetermined vertices.
@@ -211,30 +189,14 @@ type (
 
 // Walker-selection algorithms for FrontierSampler.Selection.
 const (
-	// SelectAuto resolves adaptively from M: linear scan up to
-	// LinearSelectionMaxM walkers, Fenwick tree above.
+	// SelectAuto resolves adaptively from M: linear scan for small
+	// frontiers, Fenwick tree above the measured crossover.
 	SelectAuto = core.SelectAuto
 	// SelectFenwick pins the O(log M) Fenwick-tree selection.
 	SelectFenwick = core.SelectFenwick
 	// SelectLinear pins the O(M) linear-scan selection.
 	SelectLinear = core.SelectLinear
 )
-
-// LinearSelectionMaxM is the largest frontier dimension for which
-// SelectAuto resolves to the linear scan (the crossover measured by
-// BenchmarkAblationWalkerSelection).
-const LinearSelectionMaxM = core.LinearSelectionMaxM
-
-// SlabSize is the capacity of the pooled observation slabs batched
-// runs emit through (see BatchObservationFunc).
-const SlabSize = core.SlabSize
-
-// EdgeObservation builds the degree-proportional edge observation for
-// a sampled edge (u,v): Weight 1/SymDegree(v), the stationary-walk
-// importance weight of equation (7).
-func EdgeObservation(src Source, u, v int) Observation {
-	return core.EdgeObservation(src, u, v)
-}
 
 // NewStationarySeeder precomputes degree-proportional seeding for src.
 func NewStationarySeeder(src Source) (*StationarySeeder, error) {
@@ -245,14 +207,8 @@ func NewStationarySeeder(src Source) (*StationarySeeder, error) {
 type (
 	// DegreeDist estimates degree distributions from walk samples.
 	DegreeDist = estimate.DegreeDist
-	// PlainDegreeDist estimates them from uniform vertex samples.
-	PlainDegreeDist = estimate.PlainDegreeDist
 	// GroupDensity estimates group densities from walk samples.
 	GroupDensity = estimate.GroupDensity
-	// PlainGroupDensity estimates them from uniform vertex samples.
-	PlainGroupDensity = estimate.PlainGroupDensity
-	// EdgeDensity estimates edge-label densities (equation (5)).
-	EdgeDensity = estimate.EdgeDensity
 	// Assortativity estimates the assortative mixing coefficient.
 	Assortativity = estimate.Assortativity
 	// Clustering estimates the global clustering coefficient.
@@ -262,15 +218,6 @@ type (
 	ScalarDensity = estimate.ScalarDensity
 	// AvgDegree estimates the average degree.
 	AvgDegree = estimate.AvgDegree
-	// WeightedAvgDegree estimates the average degree from importance-
-	// weighted vertex observations (Σ w·deg / Σ w).
-	WeightedAvgDegree = estimate.WeightedAvgDegree
-	// WeightedDegreeDist estimates the degree distribution from
-	// importance-weighted vertex observations.
-	WeightedDegreeDist = estimate.WeightedDegreeDist
-	// WeightedGroupDensity estimates group densities from importance-
-	// weighted vertex observations.
-	WeightedGroupDensity = estimate.WeightedGroupDensity
 	// View provides the vertex metadata estimators need.
 	View = estimate.View
 	// EdgeView adds the edge-level queries some estimators need.
@@ -282,24 +229,9 @@ func NewDegreeDist(view View, kind DegreeKind) *DegreeDist {
 	return estimate.NewDegreeDist(view, kind)
 }
 
-// NewPlainDegreeDist creates the vertex-sample variant.
-func NewPlainDegreeDist(view View, kind DegreeKind) *PlainDegreeDist {
-	return estimate.NewPlainDegreeDist(view, kind)
-}
-
 // NewGroupDensity creates a walk-sample group-density estimator.
 func NewGroupDensity(view View, labels *GroupLabels) *GroupDensity {
 	return estimate.NewGroupDensity(view, labels)
-}
-
-// NewPlainGroupDensity creates the vertex-sample variant.
-func NewPlainGroupDensity(labels *GroupLabels) *PlainGroupDensity {
-	return estimate.NewPlainGroupDensity(labels)
-}
-
-// NewEdgeDensity creates an edge-label density estimator.
-func NewEdgeDensity(numLabels int, label func(u, v int) (int, bool)) *EdgeDensity {
-	return estimate.NewEdgeDensity(numLabels, label)
 }
 
 // NewAssortativity creates an assortative-mixing estimator.
@@ -320,24 +252,6 @@ func NewScalarDensity(view View, pred func(v int) bool) *ScalarDensity {
 // NewAvgDegree creates an average-degree estimator.
 func NewAvgDegree(view View) *AvgDegree {
 	return estimate.NewAvgDegree(view)
-}
-
-// NewWeightedAvgDegree creates an importance-weighted average-degree
-// estimator.
-func NewWeightedAvgDegree(view View) *WeightedAvgDegree {
-	return estimate.NewWeightedAvgDegree(view)
-}
-
-// NewWeightedDegreeDist creates an importance-weighted degree-
-// distribution estimator.
-func NewWeightedDegreeDist(view View, kind DegreeKind) *WeightedDegreeDist {
-	return estimate.NewWeightedDegreeDist(view, kind)
-}
-
-// NewWeightedGroupDensity creates an importance-weighted group-density
-// estimator.
-func NewWeightedGroupDensity(labels *GroupLabels) *WeightedGroupDensity {
-	return estimate.NewWeightedGroupDensity(labels)
 }
 
 // Generators (internal/gen).
@@ -419,26 +333,12 @@ type (
 	GraphSegmentInfo = graphio.FCSRInfo
 )
 
-// WriteGraphSegment writes g — and gl's labels, when non-nil — to w in
-// the .fcsr segment format.
-func WriteGraphSegment(w io.Writer, g *Graph, gl *GroupLabels) error {
-	return graphio.WriteFCSR(w, g, gl)
-}
-
-// ReadGraphSegment heap-parses an .fcsr segment, fully validating
-// checksums and adjacency structure: the reader for untrusted bytes.
-func ReadGraphSegment(r io.Reader) (*Graph, *GroupLabels, error) { return graphio.ReadFCSR(r) }
-
 // OpenGraphSegment memory-maps the .fcsr segment at path and returns
 // its graph zero-copy: the CSR arrays alias the mapping, so open cost
 // is O(offset-array validation) and resident memory is only the pages
 // the walk touches. Sampling over the mapped graph draws byte-identical
 // sequences to the same graph on the heap.
 func OpenGraphSegment(path string) (*GraphSegment, error) { return graphio.OpenFCSR(path) }
-
-// StatGraphSegment reads only the segment's header: sizes without
-// materialization, however large the file.
-func StatGraphSegment(path string) (GraphSegmentInfo, error) { return graphio.StatFCSR(path) }
 
 // Networked crawling (internal/netgraph).
 type (
@@ -452,9 +352,9 @@ type (
 	GraphInfo = netgraph.GraphInfo
 	// GraphServerOption configures a GraphServer.
 	GraphServerOption = netgraph.ServerOption
-	// GraphClient crawls a remote graph; it implements Source,
-	// BatchSource and EdgeView so samplers and estimators run against it
-	// unmodified. Its vertex cache is a bounded LRU and concurrent
+	// GraphClient crawls a remote graph; it implements Source and
+	// EdgeView so samplers and estimators run against it unmodified,
+	// and batches the neighborhood prefetches walks advise. Its vertex cache is a bounded LRU and concurrent
 	// fetches of one vertex are deduplicated.
 	GraphClient = netgraph.Client
 	// GraphClientOption configures a GraphClient.
@@ -478,13 +378,6 @@ var (
 // NewGraphCatalog returns an empty catalog of named graphs; the first
 // graph added becomes the default for unqualified requests.
 func NewGraphCatalog() *GraphCatalog { return netgraph.NewCatalog() }
-
-// NewCatalogGraphServer creates an HTTP handler over an existing
-// catalog, for multi-graph deployments (single-graph callers use
-// NewGraphServer).
-func NewCatalogGraphServer(cat *GraphCatalog, opts ...GraphServerOption) *GraphServer {
-	return netgraph.NewCatalogServer(cat, opts...)
-}
 
 // Sampling-job service (internal/jobs): run many concurrent,
 // cancellable, checkpoint-resumable sampling jobs over one shared graph.
@@ -517,14 +410,6 @@ type (
 // DefaultJobMethods returns the process-wide method registry holding
 // the paper's comparison set of sampling methods.
 func DefaultJobMethods() *JobMethodRegistry { return jobs.DefaultMethods() }
-
-// NewJobMethodRegistry returns a fresh method registry pre-populated
-// with the built-in methods; Register adds custom ones.
-func NewJobMethodRegistry() *JobMethodRegistry { return jobs.NewMethodRegistry() }
-
-// WithJobMethods routes a JobManager's Spec.Method validation and
-// construction through reg instead of DefaultJobMethods().
-func WithJobMethods(reg *JobMethodRegistry) JobOption { return jobs.WithMethods(reg) }
 
 // Job lifecycle states.
 const (
@@ -579,9 +464,6 @@ type (
 	// EstimateVector is the vector-valued part of an estimate (degree
 	// CCDF, group densities).
 	EstimateVector = live.VectorResult
-	// GroupSource is the source facet the group-density estimator
-	// needs (per-vertex group labels).
-	GroupSource = live.GroupSource
 )
 
 // Stop-rule metrics.
@@ -595,10 +477,6 @@ const (
 // DefaultEstimators returns the process-wide estimator registry
 // holding the built-in live estimators.
 func DefaultEstimators() *EstimatorRegistry { return live.Default() }
-
-// NewEstimatorRegistry returns a fresh registry pre-populated with the
-// built-in estimators; Register adds custom ones.
-func NewEstimatorRegistry() *EstimatorRegistry { return live.NewRegistry() }
 
 // ParseStopRule parses an adaptive-stopping rule such as
 // "ci_halfwidth<=0.01", "ci_rel<=0.005", "ess>=5000" or "rhat<=1.05".
@@ -615,10 +493,6 @@ func NewLiveRuntime(est *LiveEstimator, mon *ConvergenceMonitor, rule *StopRule)
 	return live.NewRuntime(est, mon, rule)
 }
 
-// WithJobEstimators routes a JobManager's Spec.Estimate validation and
-// construction through reg instead of DefaultEstimators().
-func WithJobEstimators(reg *EstimatorRegistry) JobOption { return jobs.WithEstimators(reg) }
-
 // NewJobManager creates a sampling-job manager over src and starts its
 // worker pool. Stop it with (*JobManager).Stop, which checkpoints
 // running jobs.
@@ -628,13 +502,6 @@ func NewJobManager(src Source, opts ...JobOption) (*JobManager, error) {
 
 // WithJobWorkers sizes the job worker pool (default 4).
 func WithJobWorkers(n int) JobOption { return jobs.WithWorkers(n) }
-
-// WithJobQueueCapacity bounds the submitted-but-not-running queue.
-func WithJobQueueCapacity(n int) JobOption { return jobs.WithQueueCapacity(n) }
-
-// WithJobCheckpointDir persists job checkpoints under dir so jobs
-// survive a restart and resume byte-identically.
-func WithJobCheckpointDir(dir string) JobOption { return jobs.WithCheckpointDir(dir) }
 
 // WithJobResolver routes each job's Graph name through r — typically a
 // GraphCatalog — so one worker pool serves many hosted graphs.
@@ -658,57 +525,8 @@ func DialGraph(baseURL string, opts ...GraphClientOption) (*GraphClient, error) 
 	return netgraph.Dial(baseURL, nil, opts...)
 }
 
-// WithCacheCapacity bounds the client's vertex LRU cache.
-func WithCacheCapacity(n int) GraphClientOption { return netgraph.WithCacheCapacity(n) }
-
 // WithBatchSize sets the client's prefetch batch size.
 func WithBatchSize(n int) GraphClientOption { return netgraph.WithBatchSize(n) }
-
-// WithClientContext attaches ctx to every HTTP request the client
-// issues; cancelling it aborts in-flight vertex fetches.
-func WithClientContext(ctx context.Context) GraphClientOption { return netgraph.WithContext(ctx) }
-
-// WithClientGraph targets the named hosted graph on a multi-graph
-// server ("" = the server's default graph).
-func WithClientGraph(name string) GraphClientOption { return netgraph.WithGraph(name) }
-
-// WithClientPollInterval sets WaitJob's polling interval for servers
-// without SSE job-event streaming.
-func WithClientPollInterval(d time.Duration) GraphClientOption {
-	return netgraph.WithPollInterval(d)
-}
-
-// Resilience middleware (internal/netgraph): the client-side chain that
-// survives a real OSN API, and the server-side deterministic fault
-// injection that proves it.
-type (
-	// ResilienceConfig configures the client middleware chain
-	// Retry → CircuitBreak → RateLimit → Hedge → AttemptTimeout.
-	ResilienceConfig = netgraph.ResilienceConfig
-	// FaultSpec configures seeded, deterministic server-side fault
-	// injection (429/5xx bursts, dropped connections, slow responses,
-	// flap schedules).
-	FaultSpec = netgraph.FaultSpec
-)
-
-// ErrCircuitOpen is returned (wrapped) when the client's circuit
-// breaker rejects a request without sending it.
-var ErrCircuitOpen = netgraph.ErrCircuitOpen
-
-// WithClientResilience wraps the client's transport in the resilience
-// middleware chain; breaker/limiter state rides session checkpoints so
-// resumed crawls do not thundering-herd a recovering API.
-func WithClientResilience(cfg ResilienceConfig) GraphClientOption {
-	return netgraph.WithResilience(cfg)
-}
-
-// WithServerFaults injects seeded, deterministic faults on the server's
-// data-plane endpoints, with injected counts in /v1/stats and /metrics.
-func WithServerFaults(spec FaultSpec) GraphServerOption { return netgraph.WithFaults(spec) }
-
-// ParseFaultSpec parses the graphd -faults flag syntax, e.g.
-// "rate=0.1,seed=7,statuses=429+500+503,burst=3,drop=0.2".
-func ParseFaultSpec(s string) (FaultSpec, error) { return netgraph.ParseFaultSpec(s) }
 
 // Error metrics (internal/stats).
 type (
@@ -766,84 +584,26 @@ func Autocorrelation(xs []float64, maxLag int) ([]float64, error) {
 	return walkstats.Autocorrelation(xs, maxLag)
 }
 
-// MeanCI returns a walk series' mean with a ~95% batch-means confidence
-// half-width — error bars without ground truth.
-func MeanCI(xs []float64) (mean, halfWidth float64, err error) {
-	return walkstats.MeanCI(xs)
-}
-
-// Observability (internal/obs): structured logging, trace IDs, span
-// timelines, Prometheus latency histograms and a pprof debug mux,
-// wired through the graph server, client and job manager.
+// Observability (internal/obs): structured logging, span timelines and
+// Prometheus latency histograms, wired through the graph server, client
+// and job manager.
 type (
 	// TraceEvent is one entry in a span timeline.
 	TraceEvent = obs.Event
-	// TraceTimeline is a bounded in-memory ring of trace events.
-	TraceTimeline = obs.Timeline
 	// JobTrace is a job's span timeline as served at
 	// GET /v1/jobs/{id}/trace: lifecycle transitions, checkpoints and
 	// the crawl retry/hedge/breaker events the job's source emitted.
 	JobTrace = jobs.Trace
-	// LatencyHistogram is a fixed-bucket Prometheus-style histogram.
-	LatencyHistogram = obs.Histogram
-	// LatencyHistogramVec partitions a LatencyHistogram by one label.
+	// LatencyHistogramVec is a fixed-bucket Prometheus-style latency
+	// histogram partitioned by one label.
 	LatencyHistogramVec = obs.HistogramVec
 )
-
-// TraceHeader is the HTTP header that propagates a trace ID between
-// the graph client and server.
-const TraceHeader = obs.TraceHeader
-
-// ParseLogLevel parses a -log-level flag value (debug, info, warn,
-// warning or error; case-insensitive) into a slog.Level.
-func ParseLogLevel(s string) (slog.Level, error) { return obs.ParseLevel(s) }
 
 // NewLogger builds a structured logger writing to w at the given
 // level; format selects "json" or "text" (default) encoding.
 func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, error) {
 	return obs.NewLogger(w, level, format)
 }
-
-// NopLogger returns a logger that discards everything and reports
-// every level disabled — the silent default the server and job
-// manager use when no logger is configured.
-func NopLogger() *slog.Logger { return obs.NopLogger() }
-
-// NewTraceID mints a 16-hex-character random trace ID.
-func NewTraceID() string { return obs.NewTraceID() }
-
-// WithTraceID returns ctx carrying the trace ID; the graph client
-// stamps it on every outbound request as the TraceHeader.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return obs.WithTraceID(ctx, id)
-}
-
-// TraceIDFromContext returns the trace ID carried by ctx ("" when
-// none).
-func TraceIDFromContext(ctx context.Context) string { return obs.TraceID(ctx) }
-
-// DebugMux returns a mux serving net/http/pprof under /debug/pprof/,
-// for a separate (typically loopback-only) listener — graphd's -pprof
-// flag mounts it.
-func DebugMux() *http.ServeMux { return obs.DebugMux() }
-
-// EscapeMetricLabel escapes a Prometheus label value (backslash,
-// quote, newline).
-func EscapeMetricLabel(s string) string { return obs.EscapeLabel(s) }
-
-// CheckMetricsExposition validates Prometheus text exposition output:
-// syntax, and histogram bucket monotonicity/completeness.
-func CheckMetricsExposition(data []byte) error { return obs.CheckExposition(data) }
-
-// WithServerLogging attaches a structured logger to the graph server:
-// one Info record per request (method, route, status, duration,
-// trace ID) and Error records for recovered handler panics.
-func WithServerLogging(l *slog.Logger) GraphServerOption { return netgraph.WithLogging(l) }
-
-// WithJobLogger attaches a structured logger to the job manager: job
-// lifecycle at Info, slab progress at Debug, persistence failures at
-// Error, every record carrying the job and trace IDs.
-func WithJobLogger(l *slog.Logger) JobOption { return jobs.WithLogger(l) }
 
 // Paper-figure sweep service (internal/sweep): a deterministic DAG
 // executor that reproduces a paper artifact (fig5, table2, ...) as a
@@ -937,9 +697,6 @@ func WithSweepArtifactDir(dir string) SweepOption { return sweep.WithArtifactDir
 // WithSweepParallel bounds how many job nodes run concurrently per
 // sweep (default: the job manager's worker count).
 func WithSweepParallel(n int) SweepOption { return sweep.WithParallel(n) }
-
-// WithSweepLogger attaches a structured logger to the sweep manager.
-func WithSweepLogger(l *slog.Logger) SweepOption { return sweep.WithLogger(l) }
 
 // WithServerSweeps mounts the sweep endpoints (POST /v1/sweeps et al.)
 // backed by m into a GraphServer.

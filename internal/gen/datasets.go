@@ -20,10 +20,6 @@ type Dataset struct {
 // on a laptop; Scale > 1 approaches the original sizes.
 type Scale float64
 
-// DefaultScale reproduces the experiment-sized stand-ins described in
-// DESIGN.md.
-const DefaultScale Scale = 1.0
-
 func (s Scale) size(base int) int {
 	n := int(float64(base) * float64(s))
 	if n < 64 {

@@ -383,16 +383,6 @@ func int32sSorted(xs []int32) bool {
 	return true
 }
 
-// FromEdges is a convenience constructor: builds a graph with n vertices
-// from a directed edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(int(e.U), int(e.V))
-	}
-	return b.Build()
-}
-
 // OutCSR returns the directed out-adjacency in raw CSR form: the
 // offset array (length NumVertices+1) and the target array it indexes.
 // Both alias internal storage and must not be modified; the .fcsr

@@ -432,13 +432,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFromEdges(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
-	if g.NumDirectedEdges() != 2 || g.NumVertices() != 3 {
-		t.Fatalf("FromEdges built %v", g)
-	}
-}
-
 func TestMaxSymDegree(t *testing.T) {
 	g := path4()
 	d, v := g.MaxSymDegree()

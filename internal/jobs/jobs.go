@@ -152,7 +152,7 @@ func (sp *Spec) normalize() {
 // what the service can run and estimate; method/estimator mismatches
 // (a vertex sampler driving an edge-level estimand) are caught here
 // too, before the job ever queues.
-func (sp Spec) validate(src crawl.Source, reg *live.Registry, methods *MethodRegistry) error {
+func (sp Spec) validate(src crawl.Source, methods *MethodRegistry) error {
 	m, err := methods.resolve(sp.Method)
 	if err != nil {
 		return err
@@ -160,7 +160,7 @@ func (sp Spec) validate(src crawl.Source, reg *live.Registry, methods *MethodReg
 	if err := m.validateSpec(sp, src); err != nil {
 		return err
 	}
-	est, err := reg.New(sp.Estimate, src)
+	est, err := live.Default().New(sp.Estimate, src)
 	if err != nil {
 		return fmt.Errorf("jobs: estimate: %w", err)
 	}
@@ -182,8 +182,8 @@ func (sp Spec) validate(src crawl.Source, reg *live.Registry, methods *MethodReg
 // stubs), and the parsed stop rule. Construction is a pure function of
 // the spec, which is what makes a resumed job's runtime identical to
 // the interrupted one's.
-func newRuntime(reg *live.Registry, sp Spec, src crawl.Source) (*live.Runtime, error) {
-	est, err := reg.New(sp.Estimate, src)
+func newRuntime(sp Spec, src crawl.Source) (*live.Runtime, error) {
+	est, err := live.Default().New(sp.Estimate, src)
 	if err != nil {
 		return nil, err
 	}
@@ -490,6 +490,10 @@ var errConverged = errors.New("jobs: estimate converged")
 // full budget (no stop rule, or a rule that never fired).
 const StopReasonBudget = "budget"
 
+// queueCapacity bounds how many submitted-but-not-running jobs a
+// manager holds before Submit returns ErrQueueFull.
+const queueCapacity = 1024
+
 // ErrQueueFull is returned by Submit when the bounded queue is at
 // capacity.
 var ErrQueueFull = errors.New("jobs: queue full")
@@ -543,33 +547,12 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithQueueCapacity bounds how many submitted-but-not-running jobs the
-// manager holds before Submit returns ErrQueueFull (default 1024).
-func WithQueueCapacity(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.queueCap = n
-		}
-	}
-}
-
 // WithCheckpointDir persists every job's checkpoints under dir (one
 // JSON file per job, written atomically). A new Manager over the same
 // dir reloads them: terminal jobs stay queryable, interrupted ones are
 // requeued and resume from their last step boundary.
 func WithCheckpointDir(dir string) Option {
 	return func(m *Manager) { m.dir = dir }
-}
-
-// WithEstimators validates and builds every job's Estimate through reg
-// instead of the process-wide live.Default() registry. Use it to host
-// custom estimators on one manager without registering them globally.
-func WithEstimators(reg *live.Registry) Option {
-	return func(m *Manager) {
-		if reg != nil {
-			m.registry = reg
-		}
-	}
 }
 
 // WithMethods validates and builds every job's Method through reg
@@ -602,10 +585,8 @@ func WithLogger(l *slog.Logger) Option {
 // All methods are safe for concurrent use.
 type Manager struct {
 	resolver  Resolver
-	registry  *live.Registry
 	methods   *MethodRegistry
 	workers   int
-	queueCap  int
 	dir       string
 	log       *slog.Logger
 	logSet    bool              // WithLogger was used (persistErr fallback)
@@ -634,10 +615,8 @@ type Manager struct {
 // before the workers start.
 func NewManager(src crawl.Source, opts ...Option) (*Manager, error) {
 	m := &Manager{
-		registry:  live.Default(),
 		methods:   DefaultMethods(),
 		workers:   4,
-		queueCap:  1024,
 		jobs:      make(map[string]*Job),
 		log:       obs.NopLogger(),
 		durations: obs.NewHistogramVec("method", nil),
@@ -651,7 +630,7 @@ func NewManager(src crawl.Source, opts ...Option) (*Manager, error) {
 		}
 		m.resolver = staticResolver{src: src}
 	}
-	m.queue = make(chan string, m.queueCap)
+	m.queue = make(chan string, queueCapacity)
 	m.stopCh = make(chan struct{})
 	if m.dir != "" {
 		if err := m.loadCheckpoints(); err != nil {
@@ -721,7 +700,7 @@ func (m *Manager) SubmitTrace(sp Spec, traceID string) (*Job, error) {
 		return nil, err
 	}
 	release() // validation only; the job pins the graph when it runs
-	if err := sp.validate(src, m.registry, m.methods); err != nil {
+	if err := sp.validate(src, m.methods); err != nil {
 		return nil, err
 	}
 	if traceID == "" {
@@ -737,6 +716,9 @@ func (m *Manager) SubmitTrace(sp Spec, traceID string) (*Job, error) {
 		id: fmt.Sprintf("job-%06d", m.nextID), spec: sp, state: StateQueued,
 		estimate: math.NaN(), traceID: traceID, timeline: obs.NewTimeline(0),
 	}
+	// Record queued before the send: a worker may take the job the
+	// moment it is on the queue and record running.
+	j.recordEvent("queued", "")
 	select {
 	case m.queue <- j.id:
 	default:
@@ -745,7 +727,6 @@ func (m *Manager) SubmitTrace(sp Spec, traceID string) (*Job, error) {
 	}
 	m.jobs[j.id] = j
 	m.mu.Unlock()
-	j.recordEvent("queued", "")
 	m.log.LogAttrs(context.Background(), slog.LevelInfo, "job queued",
 		slog.String("job_id", j.id), slog.String("trace_id", traceID),
 		slog.String("method", sp.Method), slog.String("graph", sp.Graph),
@@ -896,19 +877,39 @@ func (m *Manager) worker() {
 		case <-m.stopCh:
 			return
 		case id := <-m.queue:
-			if m.stopped() {
-				// Leave the job queued (it is persisted as such); a new
-				// manager over the checkpoint dir picks it up.
-				return
-			}
 			j, ok := m.Get(id)
 			if !ok {
 				continue
 			}
 			j.mu.Lock()
-			if j.state != StateQueued {
+			queued, graphName := j.state == StateQueued, j.spec.Graph
+			j.mu.Unlock()
+			if !queued {
 				// Cancelled or paused while waiting in the queue.
+				continue
+			}
+			// Pin the graph before the job reads running, so the graph
+			// cannot be evicted from under a running job.
+			src, release, err := m.resolver.Resolve(graphName)
+			if err != nil {
+				release = func() {}
+			}
+			if m.stopped() {
+				// Leave the job queued (it is persisted as such); a new
+				// manager over the checkpoint dir picks it up.
+				release()
+				return
+			}
+			j.mu.Lock()
+			if j.state != StateQueued {
+				// Cancelled or paused while the graph resolved.
 				j.mu.Unlock()
+				release()
+				continue
+			}
+			if err != nil {
+				j.mu.Unlock()
+				m.finish(j, StateFailed, fmt.Errorf("jobs: resolving graph %q: %w", graphName, err))
 				continue
 			}
 			ctx, cancel := context.WithCancelCause(context.Background())
@@ -923,7 +924,7 @@ func (m *Manager) worker() {
 				slog.String("method", method))
 			m.busy.Add(1)
 			start := time.Now()
-			m.runJob(ctx, j)
+			m.runJob(ctx, j, src, release)
 			m.durations.Observe(method, time.Since(start).Seconds())
 			m.busy.Add(-1)
 			cancel(nil)
@@ -932,20 +933,14 @@ func (m *Manager) worker() {
 }
 
 // runJob drives one job from its spec or last checkpoint to the next
-// terminal or paused state. The job's graph stays pinned — the resolver
-// refuses to evict it — for exactly the duration of this call.
-func (m *Manager) runJob(ctx context.Context, j *Job) {
+// terminal or paused state over src, the job's pinned graph, and calls
+// release when it returns.
+func (m *Manager) runJob(ctx context.Context, j *Job, src crawl.Source, release func()) {
+	defer release()
 	j.mu.Lock()
 	cp := j.cp
 	spec := j.spec
 	j.mu.Unlock()
-
-	src, release, err := m.resolver.Resolve(spec.Graph)
-	if err != nil {
-		m.finish(j, StateFailed, fmt.Errorf("jobs: resolving graph %q: %w", spec.Graph, err))
-		return
-	}
-	defer release()
 
 	// Route the source's transport-level resilience events (retry,
 	// hedge, breaker transitions) into this job's span timeline for the
@@ -956,7 +951,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		defer es.SetEventSink(nil)
 	}
 
-	rt, err := newRuntime(m.registry, spec, src)
+	rt, err := newRuntime(spec, src)
 	if err != nil {
 		m.finish(j, StateFailed, fmt.Errorf("jobs: building estimator: %w", err))
 		return
@@ -1313,7 +1308,7 @@ func (m *Manager) loadCheckpoints() error {
 		if src, release, rerr := m.resolver.Resolve(cp.Spec.Graph); rerr != nil {
 			invalid = rerr
 		} else {
-			invalid = cp.Spec.validate(src, m.registry, m.methods)
+			invalid = cp.Spec.validate(src, m.methods)
 			if invalid == nil && cp.State == StateDone && len(cp.Live) > 0 {
 				// A done checkpoint carries the final live-runtime state, so
 				// the report the job published as it finished is exactly
@@ -1325,7 +1320,7 @@ func (m *Manager) loadCheckpoints() error {
 				// the estimand vector. A state that fails to restore (e.g.
 				// cross-version live state) leaves the report absent —
 				// consumers that need it fail loudly downstream.
-				if rt, err := newRuntime(m.registry, cp.Spec, src); err == nil {
+				if rt, err := newRuntime(cp.Spec, src); err == nil {
 					if err := rt.Restore(cp.Live); err == nil {
 						rep := rt.Report()
 						report = &rep

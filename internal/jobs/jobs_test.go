@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func directRun(t *testing.T, g *graph.Graph, sp Spec) Status {
 	}
 	sampler := method.Build(sp)
 	sess := crawl.NewSession(g, sp.Budget, crawl.UnitCosts(), xrand.New(sp.Seed))
-	rt, err := newRuntime(live.Default(), sp, g)
+	rt, err := newRuntime(sp, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +356,94 @@ func TestJobsAreResumableSamplersOnly(t *testing.T) {
 		if s == nil {
 			t.Fatalf("%s: no sampler", method)
 		}
+	}
+}
+
+// TestTraceStartsQueuedRunning submits many tiny jobs to a wide pool,
+// so workers take jobs the moment they are queued: every trace must
+// still begin queued, then running.
+func TestTraceStartsQueuedRunning(t *testing.T) {
+	m, err := NewManager(testGraph(7), WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	js := make([]*Job, 200)
+	for i := range js {
+		if js[i], err = m.Submit(Spec{Method: "single", Budget: 10, Seed: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range js {
+		waitDone(t, j)
+		ev := j.Trace().Events
+		if len(ev) < 2 || ev[0].Name != "queued" || ev[1].Name != "running" {
+			t.Fatalf("job %s trace starts %v, want [queued running ...]", j.ID(), ev)
+		}
+	}
+}
+
+// gatedResolver serves one source and counts pins and releases. Every
+// second Resolve signals entered and blocks until the test sends on
+// (or closes) proceed: with one worker, Submit's validation is the free
+// call and the worker's pin the gated one.
+type gatedResolver struct {
+	src      crawl.Source
+	entered  chan struct{}
+	proceed  chan struct{}
+	calls    atomic.Int32
+	released atomic.Int32
+}
+
+func (r *gatedResolver) Resolve(string) (crawl.Source, func(), error) {
+	if r.calls.Add(1)%2 == 0 {
+		r.entered <- struct{}{}
+		<-r.proceed
+	}
+	return r.src, func() { r.released.Add(1) }, nil
+}
+
+// TestJobRunsOnlyOncePinned holds the worker inside Resolve: the job
+// must not read running before its graph is pinned, and a job cancelled
+// during the resolve is skipped with its pin released.
+func TestJobRunsOnlyOncePinned(t *testing.T) {
+	r := &gatedResolver{src: testGraph(8), entered: make(chan struct{}, 2), proceed: make(chan struct{})}
+	m, err := NewManager(nil, WithResolver(r), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	defer close(r.proceed) // a failed check must not leave the worker gated
+
+	cancelled, err := m.Submit(Spec{Method: "single", Budget: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.entered
+	if st := cancelled.Status(); st.State != StateQueued {
+		t.Fatalf("state while the graph resolves = %s, want queued", st.State)
+	}
+	if err := m.Cancel(cancelled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	r.proceed <- struct{}{}
+
+	j, err := m.Submit(Spec{Method: "single", Budget: 50, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r.entered
+	if st := j.Status(); st.State != StateQueued {
+		t.Fatalf("state while the graph resolves = %s, want queued", st.State)
+	}
+	r.proceed <- struct{}{}
+	waitDone(t, j)
+	m.Stop() // waits for the worker to release the last pin
+	if st := cancelled.Status(); st.State != StateCancelled {
+		t.Fatalf("job cancelled while resolving ended %s", st.State)
+	}
+	if calls, released := r.calls.Load(), r.released.Load(); calls != 4 || released != calls {
+		t.Fatalf("resolves = %d, releases = %d, want 4 and 4", calls, released)
 	}
 }
 

@@ -1,14 +1,13 @@
 package netgraph
 
-// Resilience middleware for the netgraph client: composable
-// http.RoundTripper wrappers that make a crawl survive a real OSN API —
-// retry with exponential backoff and jitter, per-host token-bucket rate
-// limiting, a circuit breaker, request hedging for tail latency, and
-// per-attempt deadlines. Each layer is an independent Middleware value;
-// WithResilience assembles them in a fixed, documented order
-// (outermost to innermost):
+// Resilience layers for the netgraph client: http.RoundTripper
+// wrappers that make a crawl survive a real OSN API — retry with
+// exponential backoff and jitter, a circuit breaker, per-host
+// token-bucket rate limiting, request hedging for tail latency, and
+// per-attempt deadlines. WithResilience builds them from one
+// ResilienceConfig in a fixed order (outermost to innermost):
 //
-//	Retry → CircuitBreak → RateLimit → Hedge → AttemptTimeout → transport
+//	retry → breaker → limiter → hedge → attempt timeout → transport
 //
 // Retry sits outermost so one logical query retries through the breaker
 // and limiter (a retry is a fresh admission decision, and an open
@@ -20,8 +19,8 @@ package netgraph
 // All time-dependent behavior (backoff waits, breaker cooldowns,
 // limiter refill, hedge delays) flows through the Clock interface so
 // tests drive it with a fake clock — no wall-clock sleeps. The one
-// exception is AttemptTimeout, which arms a real context deadline on
-// the request.
+// exception is the attempt timeout, which arms a real context deadline
+// on the request.
 
 import (
 	"context"
@@ -38,7 +37,7 @@ import (
 	"frontier/internal/xrand"
 )
 
-// Clock abstracts time for the resilience middleware so tests can drive
+// Clock abstracts time for the resilience layers so tests can drive
 // backoff schedules, breaker cooldowns and limiter refill with a fake
 // clock instead of wall-clock sleeps.
 type Clock interface {
@@ -54,37 +53,18 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// systemClock is the Clock used when a config leaves Clock nil.
-var systemClock Clock = realClock{}
-
-// Middleware wraps an http.RoundTripper with one resilience concern.
-// Middlewares compose with Chain; each is independent and safe for
-// concurrent use.
-type Middleware func(http.RoundTripper) http.RoundTripper
-
-// Chain composes middlewares into one. The first argument becomes the
-// outermost layer: Chain(a, b)(rt) == a(b(rt)).
-func Chain(mws ...Middleware) Middleware {
-	return func(rt http.RoundTripper) http.RoundTripper {
-		for i := len(mws) - 1; i >= 0; i-- {
-			rt = mws[i](rt)
-		}
-		return rt
-	}
-}
-
 // roundTripFunc adapts a function to http.RoundTripper.
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 // RoundTrip implements http.RoundTripper.
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
-// DefaultRetryable reports whether a round-trip outcome is worth
-// retrying: any transport error (the response never arrived — includes
-// dropped connections and per-attempt deadline expiry), or a status in
-// the retryable set {408, 429, 500, 502, 503, 504}. Client errors like
-// 404 are permanent and never retried.
-func DefaultRetryable(resp *http.Response, err error) bool {
+// retryable reports whether a round-trip outcome is worth retrying:
+// any transport error (the response never arrived — includes dropped
+// connections and per-attempt deadline expiry), or a status in the
+// retryable set {408, 429, 500, 502, 503, 504}. Client errors like 404
+// are permanent and never retried.
+func retryable(resp *http.Response, err error) bool {
 	if err != nil {
 		return true
 	}
@@ -101,72 +81,6 @@ func DefaultRetryable(resp *http.Response, err error) bool {
 		return true
 	}
 	return false
-}
-
-// RetryConfig configures the Retry middleware.
-type RetryConfig struct {
-	// MaxAttempts is the total number of attempts including the first
-	// (0 means the default of 4; 1 disables retries).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it (0 means 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff, including an honored Retry-After
-	// (0 means 5s).
-	MaxDelay time.Duration
-	// Jitter in [0,1] scales each delay by a uniform factor in
-	// [1-Jitter, 1], decorrelating clients that fail together
-	// (0 means the default 0.5; negative disables jitter).
-	Jitter float64
-	// Seed seeds the jitter stream, making the schedule reproducible.
-	Seed uint64
-	// Retryable classifies outcomes (nil means DefaultRetryable).
-	Retryable func(*http.Response, error) bool
-	// OnRetry, when non-nil, is called before each retry wait with the
-	// number of the attempt that just failed and a short cause
-	// ("429", "500", "transport", ...).
-	OnRetry func(attempt int, cause string)
-	// Clock drives the backoff waits (nil means the system clock).
-	Clock Clock
-
-	// rand overrides the jitter stream (WithResilience injects a
-	// snapshot-able shared stream here; nil means a private stream
-	// seeded from Seed).
-	rand func() float64
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (cfg RetryConfig) withDefaults() RetryConfig {
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BaseDelay == 0 {
-		cfg.BaseDelay = 50 * time.Millisecond
-	}
-	if cfg.MaxDelay == 0 {
-		cfg.MaxDelay = 5 * time.Second
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.5
-	} else if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
-	if cfg.Retryable == nil {
-		cfg.Retryable = DefaultRetryable
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = systemClock
-	}
-	if cfg.rand == nil {
-		rng := xrand.New(cfg.Seed)
-		var mu sync.Mutex
-		cfg.rand = func() float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Float64()
-		}
-	}
-	return cfg
 }
 
 // backoffDelay computes the wait before the retry that follows failed
@@ -204,7 +118,7 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// retryCause names a failed outcome for the OnRetry hook: the status
+// retryCause names a failed outcome for a "retry" event: the status
 // code as digits, or "transport" when no response arrived.
 func retryCause(resp *http.Response, err error) string {
 	if err != nil {
@@ -237,57 +151,55 @@ func rewindRequest(req *http.Request) (*http.Request, error) {
 	return r, nil
 }
 
-// Retry returns a middleware that retries retryable outcomes with
-// exponential backoff plus jitter, honoring Retry-After (delay-seconds
-// form, still capped at MaxDelay). Requests with a body are only
-// retried when GetBody is set (true for every request this client
-// issues); a request whose context ends is never retried past that.
-func Retry(cfg RetryConfig) Middleware {
-	cfg = cfg.withDefaults()
-	return func(next http.RoundTripper) http.RoundTripper {
-		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			for attempt := 1; ; attempt++ {
-				areq := req
-				if attempt > 1 {
-					var err error
-					if areq, err = rewindRequest(req); err != nil {
-						return nil, err
-					}
-				}
-				resp, err := next.RoundTrip(areq)
-				if req.Context().Err() != nil {
-					// The caller is gone; whatever happened, don't retry.
-					return resp, err
-				}
-				if !cfg.Retryable(resp, err) || attempt >= cfg.MaxAttempts {
-					return resp, err
-				}
-				if req.Body != nil && req.GetBody == nil {
-					return resp, err // body cannot be replayed
-				}
-				var retryAfter time.Duration
-				if resp != nil {
-					retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
-					drainBody(resp)
-				}
-				d := backoffDelay(attempt, cfg.BaseDelay, cfg.MaxDelay, cfg.Jitter, cfg.rand())
-				if retryAfter > d {
-					d = retryAfter
-				}
-				if d > cfg.MaxDelay {
-					d = cfg.MaxDelay
-				}
-				if cfg.OnRetry != nil {
-					cfg.OnRetry(attempt, retryCause(resp, err))
-				}
-				select {
-				case <-req.Context().Done():
-					return nil, req.Context().Err()
-				case <-cfg.Clock.After(d):
+// retry wraps next in the retry layer: retryable outcomes are retried
+// with exponential backoff plus jitter, honoring Retry-After
+// (delay-seconds form, still capped at RetryMax). Requests with a body
+// are only retried when GetBody is set (true for every request this
+// client issues); a request whose context ends is never retried past
+// that.
+func (r *resilience) retry(next http.RoundTripper) http.RoundTripper {
+	cfg := r.cfg
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		for attempt := 1; ; attempt++ {
+			areq := req
+			if attempt > 1 {
+				var err error
+				if areq, err = rewindRequest(req); err != nil {
+					return nil, err
 				}
 			}
-		})
-	}
+			resp, err := next.RoundTrip(areq)
+			if req.Context().Err() != nil {
+				// The caller is gone; whatever happened, don't retry.
+				return resp, err
+			}
+			if !retryable(resp, err) || attempt >= cfg.MaxAttempts {
+				return resp, err
+			}
+			if req.Body != nil && req.GetBody == nil {
+				return resp, err // body cannot be replayed
+			}
+			var retryAfter time.Duration
+			if resp != nil {
+				retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
+				drainBody(resp)
+			}
+			d := backoffDelay(attempt, cfg.RetryBase, cfg.RetryMax, cfg.Jitter, r.draw())
+			if retryAfter > d {
+				d = retryAfter
+			}
+			if d > cfg.RetryMax {
+				d = cfg.RetryMax
+			}
+			r.retries.Add(1)
+			r.emit("retry", retryCause(resp, err))
+			select {
+			case <-req.Context().Done():
+				return nil, req.Context().Err()
+			case <-cfg.Clock.After(d):
+			}
+		}
+	})
 }
 
 // bucket is one host's token-bucket state.
@@ -315,9 +227,6 @@ func newLimiter(rate float64, burst int, clock Clock) *limiter {
 	b := float64(burst)
 	if b < 1 {
 		b = 1
-	}
-	if clock == nil {
-		clock = systemClock
 	}
 	return &limiter{rate: rate, burst: b, clock: clock, buckets: make(map[string]*bucket)}
 }
@@ -383,27 +292,19 @@ func (l *limiter) restore(balances map[string]float64) {
 	}
 }
 
-// middleware returns the admission layer backed by this limiter.
-func (l *limiter) middleware() Middleware {
-	return func(next http.RoundTripper) http.RoundTripper {
-		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			if d := l.reserve(req.URL.Host); d > 0 {
-				select {
-				case <-req.Context().Done():
-					return nil, req.Context().Err()
-				case <-l.clock.After(d):
-				}
+// wrap wraps next in the admission layer backed by this limiter: each
+// request waits out its host's deficit before forwarding.
+func (l *limiter) wrap(next http.RoundTripper) http.RoundTripper {
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if d := l.reserve(req.URL.Host); d > 0 {
+			select {
+			case <-req.Context().Done():
+				return nil, req.Context().Err()
+			case <-l.clock.After(d):
 			}
-			return next.RoundTrip(req)
-		})
-	}
-}
-
-// RateLimit returns a middleware that admits at most rate requests per
-// second per destination host, with the given burst, waiting out any
-// deficit before forwarding. clock may be nil for the system clock.
-func RateLimit(rate float64, burst int, clock Clock) Middleware {
-	return newLimiter(rate, burst, clock).middleware()
+		}
+		return next.RoundTrip(req)
+	})
 }
 
 // BreakerState names a circuit-breaker state.
@@ -443,9 +344,6 @@ type breaker struct {
 // newBreaker returns a closed breaker tripping after threshold
 // consecutive failures with the given cooldown.
 func newBreaker(threshold int, cooldown time.Duration, clock Clock) *breaker {
-	if clock == nil {
-		clock = systemClock
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, clock: clock, state: BreakerClosed}
 }
 
@@ -587,29 +485,19 @@ func (b *breaker) restoreSnapshot(s breakerSnapshot) {
 	}
 }
 
-// middleware returns the admission layer backed by this breaker.
-// Outcomes are classified with DefaultRetryable: a retryable outcome is
-// a failure (server fault), anything else — including a 404 — counts as
+// wrap wraps next in the admission layer backed by this breaker.
+// Outcomes are classified with retryable: a retryable outcome is a
+// failure (server fault), anything else — including a 404 — counts as
 // the API being healthy.
-func (b *breaker) middleware() Middleware {
-	return func(next http.RoundTripper) http.RoundTripper {
-		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			if err := b.allow(); err != nil {
-				return nil, err
-			}
-			resp, err := next.RoundTrip(req)
-			b.record(!DefaultRetryable(resp, err))
-			return resp, err
-		})
-	}
-}
-
-// CircuitBreak returns a middleware that trips open after threshold
-// consecutive failures, rejects requests with ErrCircuitOpen for
-// cooldown, then admits a single half-open probe. clock may be nil for
-// the system clock.
-func CircuitBreak(threshold int, cooldown time.Duration, clock Clock) Middleware {
-	return newBreaker(threshold, cooldown, clock).middleware()
+func (b *breaker) wrap(next http.RoundTripper) http.RoundTripper {
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if err := b.allow(); err != nil {
+			return nil, err
+		}
+		resp, err := next.RoundTrip(req)
+		b.record(!retryable(resp, err))
+		return resp, err
+	})
 }
 
 // hedgeKey marks a request context as hedge-eligible.
@@ -671,19 +559,19 @@ func reapLegs(results <-chan legResult, n int) {
 	}
 }
 
-// hedger implements the hedging layer: if the first attempt has not
-// resolved after delay, a second identical attempt is launched and the
-// first err == nil response wins; the loser is cancelled. Fault
-// statuses (a 503 is a response, not a timeout) win too — classifying
-// them is the retry layer's job.
-type hedger struct {
-	delay   time.Duration
-	clock   Clock
-	onHedge func()
+// hedge wraps next in the hedging layer: if the first attempt of an
+// eligible request has not resolved after HedgeDelay, a second
+// identical attempt is launched and the first err == nil response
+// wins; the loser is cancelled. Fault statuses (a 503 is a response,
+// not a timeout) win too — classifying them is the retry layer's job.
+func (r *resilience) hedge(next http.RoundTripper) http.RoundTripper {
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		return r.hedgeRoundTrip(next, req)
+	})
 }
 
-// roundTrip runs one possibly-hedged request.
-func (h *hedger) roundTrip(next http.RoundTripper, req *http.Request) (*http.Response, error) {
+// hedgeRoundTrip runs one possibly-hedged request.
+func (r *resilience) hedgeRoundTrip(next http.RoundTripper, req *http.Request) (*http.Response, error) {
 	if !hedgeEligible(req) {
 		return next.RoundTrip(req)
 	}
@@ -710,7 +598,7 @@ func (h *hedger) roundTrip(next http.RoundTripper, req *http.Request) (*http.Res
 	}
 	launch()
 	outstanding := 1
-	timerC := h.clock.After(h.delay)
+	timerC := r.cfg.Clock.After(r.cfg.HedgeDelay)
 	var lastErr error
 	for {
 		select {
@@ -718,9 +606,8 @@ func (h *hedger) roundTrip(next http.RoundTripper, req *http.Request) (*http.Res
 			timerC = nil
 			launch()
 			outstanding++
-			if h.onHedge != nil {
-				h.onHedge()
-			}
+			r.hedges.Add(1)
+			r.emit("hedge", "")
 		case res := <-results:
 			outstanding--
 			if res.err == nil {
@@ -751,49 +638,26 @@ func (h *hedger) roundTrip(next http.RoundTripper, req *http.Request) (*http.Res
 	}
 }
 
-// middleware returns the hedging layer backed by this hedger.
-func (h *hedger) middleware() Middleware {
-	return func(next http.RoundTripper) http.RoundTripper {
-		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			return h.roundTrip(next, req)
-		})
-	}
+// attemptTimeout wraps next so each individual attempt gets its own
+// deadline d, and one hung round trip cannot stall a crawl — the
+// attempt fails, and the retry layer above replays it. Unlike backoff
+// and cooldown waits, the deadline is real wall-clock time (a context
+// deadline), not driven by the injected Clock.
+func attemptTimeout(next http.RoundTripper, d time.Duration) http.RoundTripper {
+	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		ctx, cancel := context.WithTimeout(req.Context(), d)
+		resp, err := next.RoundTrip(req.Clone(ctx))
+		if err != nil {
+			cancel()
+			return nil, err
+		}
+		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
+		return resp, nil
+	})
 }
 
-// Hedge returns a middleware that launches a second identical attempt
-// if the first has not resolved after delay, returning whichever
-// response arrives first and cancelling the other. Only idempotent,
-// replayable requests hedge: GETs, and requests whose context passed
-// through MarkHedgeable. clock may be nil for the system clock.
-func Hedge(delay time.Duration, clock Clock) Middleware {
-	if clock == nil {
-		clock = systemClock
-	}
-	return (&hedger{delay: delay, clock: clock}).middleware()
-}
-
-// AttemptTimeout returns a middleware that bounds each individual
-// attempt with its own deadline, so one hung round trip cannot stall a
-// crawl — the attempt fails, and the retry layer above replays it.
-// Unlike backoff and cooldown waits, the deadline is real wall-clock
-// time (a context deadline), not driven by the injected Clock.
-func AttemptTimeout(d time.Duration) Middleware {
-	return func(next http.RoundTripper) http.RoundTripper {
-		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			ctx, cancel := context.WithTimeout(req.Context(), d)
-			resp, err := next.RoundTrip(req.Clone(ctx))
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-			return resp, nil
-		})
-	}
-}
-
-// ResilienceConfig configures the client's resilience middleware chain
-// (see WithResilience). The zero value of each knob disables or
+// ResilienceConfig configures the client's resilience layers (see
+// WithResilience). The zero value of each knob disables or
 // defaults that layer as documented per field; the zero config still
 // enables retries with defaults.
 type ResilienceConfig struct {
@@ -839,12 +703,12 @@ type ResilienceConfig struct {
 	OnEvent func(kind, detail string)
 }
 
-// resilience owns the assembled middleware chain's shared state: the
-// breaker, the limiter, the snapshot-able jitter stream, and the
-// retry/hedge counters a crawl session charges to its budget.
+// resilience owns the assembled chain's shared state: the config with
+// its defaults filled in, the breaker, the limiter, the snapshot-able
+// jitter stream, and the retry/hedge counters a crawl session charges
+// to its budget.
 type resilience struct {
-	cfg   ResilienceConfig
-	clock Clock
+	cfg ResilienceConfig
 
 	retries atomic.Int64 // total retry attempts (each one cost a round trip)
 	taken   atomic.Int64 // retries already handed to a session via TakeRetries
@@ -878,22 +742,36 @@ func (r *resilience) setEventSink(fn func(kind, detail string)) {
 	r.sink.Store(eventSink(fn))
 }
 
-// newResilience builds the shared state for a config.
+// newResilience fills cfg's zero fields with their documented defaults
+// and builds the shared state.
 func newResilience(cfg ResilienceConfig) *resilience {
-	r := &resilience{cfg: cfg, clock: cfg.Clock, rng: xrand.New(cfg.Seed)}
-	if r.clock == nil {
-		r.clock = systemClock
+	if cfg.MaxAttempts == 0 {
+		cfg.MaxAttempts = 4
 	}
+	if cfg.RetryBase == 0 {
+		cfg.RetryBase = 50 * time.Millisecond
+	}
+	if cfg.RetryMax == 0 {
+		cfg.RetryMax = 5 * time.Second
+	}
+	if cfg.Jitter == 0 {
+		cfg.Jitter = 0.5
+	} else if cfg.Jitter < 0 {
+		cfg.Jitter = 0
+	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = time.Second
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = realClock{}
+	}
+	r := &resilience{cfg: cfg, rng: xrand.New(cfg.Seed)}
 	if cfg.BreakerThreshold > 0 {
-		cooldown := cfg.BreakerCooldown
-		if cooldown <= 0 {
-			cooldown = time.Second
-		}
-		r.breaker = newBreaker(cfg.BreakerThreshold, cooldown, r.clock)
+		r.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock)
 		r.breaker.onChange = func(_, to BreakerState) { r.emit("breaker", string(to)) }
 	}
 	if cfg.RateLimit > 0 {
-		r.limiter = newLimiter(cfg.RateLimit, cfg.RateBurst, r.clock)
+		r.limiter = newLimiter(cfg.RateLimit, cfg.RateBurst, cfg.Clock)
 	}
 	return r
 }
@@ -905,41 +783,27 @@ func (r *resilience) draw() float64 {
 	return r.rng.Float64()
 }
 
-// wrap assembles the chain around a base transport, outermost first:
-// Retry → CircuitBreak → RateLimit → Hedge → AttemptTimeout → base.
+// wrap assembles the enabled layers around a base transport, innermost
+// first, so the request path runs retry → breaker → limiter → hedge →
+// attempt timeout → base.
 func (r *resilience) wrap(base http.RoundTripper) http.RoundTripper {
-	var mws []Middleware
-	if r.cfg.MaxAttempts != 1 {
-		mws = append(mws, Retry(RetryConfig{
-			MaxAttempts: r.cfg.MaxAttempts,
-			BaseDelay:   r.cfg.RetryBase,
-			MaxDelay:    r.cfg.RetryMax,
-			Jitter:      r.cfg.Jitter,
-			Clock:       r.clock,
-			OnRetry: func(_ int, cause string) {
-				r.retries.Add(1)
-				r.emit("retry", cause)
-			},
-			rand: r.draw,
-		}))
-	}
-	if r.breaker != nil {
-		mws = append(mws, r.breaker.middleware())
-	}
-	if r.limiter != nil {
-		mws = append(mws, r.limiter.middleware())
+	rt := base
+	if r.cfg.AttemptTimeout > 0 {
+		rt = attemptTimeout(rt, r.cfg.AttemptTimeout)
 	}
 	if r.cfg.HedgeDelay > 0 {
-		h := &hedger{delay: r.cfg.HedgeDelay, clock: r.clock, onHedge: func() {
-			r.hedges.Add(1)
-			r.emit("hedge", "")
-		}}
-		mws = append(mws, h.middleware())
+		rt = r.hedge(rt)
 	}
-	if r.cfg.AttemptTimeout > 0 {
-		mws = append(mws, AttemptTimeout(r.cfg.AttemptTimeout))
+	if r.limiter != nil {
+		rt = r.limiter.wrap(rt)
 	}
-	return Chain(mws...)(base)
+	if r.breaker != nil {
+		rt = r.breaker.wrap(rt)
+	}
+	if r.cfg.MaxAttempts != 1 {
+		rt = r.retry(rt)
+	}
+	return rt
 }
 
 // takeRetries returns the retries accumulated since the last take.
@@ -1012,9 +876,9 @@ func (r *resilience) restoreJSON(raw json.RawMessage) error {
 	return nil
 }
 
-// WithResilience wraps the client's transport in the resilience
-// middleware chain (Retry → CircuitBreak → RateLimit → Hedge →
-// AttemptTimeout, each layer enabled per cfg). The client's http.Client
+// WithResilience wraps the client's transport in the resilience layers
+// (retry → breaker → limiter → hedge → attempt timeout, each enabled per
+// cfg). The client's http.Client
 // is shallow-copied, so the caller's client is untouched. Dial's
 // metadata fetch already flows through the chain.
 //

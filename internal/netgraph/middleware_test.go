@@ -104,6 +104,22 @@ func (c *recordClock) recorded() []time.Duration {
 	return append([]time.Duration(nil), c.waits...)
 }
 
+// layers builds the resilience layers cfg enables around a stub
+// transport.
+func layers(cfg ResilienceConfig, base roundTripFunc) http.RoundTripper {
+	return newResilience(cfg).wrap(base)
+}
+
+// retryCauses returns an OnEvent hook that appends each retry's cause
+// to *causes.
+func retryCauses(causes *[]string) func(kind, detail string) {
+	return func(kind, detail string) {
+		if kind == "retry" {
+			*causes = append(*causes, detail)
+		}
+	}
+}
+
 // stubResp builds a minimal response for stub transports.
 func stubResp(code int) *http.Response {
 	return &http.Response{
@@ -182,33 +198,33 @@ func TestDefaultRetryable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := DefaultRetryable(tc.resp, tc.err); got != tc.want {
-				t.Fatalf("DefaultRetryable = %v, want %v", got, tc.want)
+			if got := retryable(tc.resp, tc.err); got != tc.want {
+				t.Fatalf("retryable = %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestRetryBackoffSchedule drives the retry middleware over a recording
+// TestRetryBackoffSchedule drives the retry layer over a recording
 // clock: three 503s then success must wait out the exact exponential
-// schedule, with the OnRetry hook seeing each failed attempt's cause.
+// schedule, with a "retry" event naming each failed attempt's cause.
 func TestRetryBackoffSchedule(t *testing.T) {
 	rc := newRecordClock()
 	var calls atomic.Int32
 	var causes []string
-	rt := Retry(RetryConfig{
+	rt := layers(ResilienceConfig{
 		MaxAttempts: 4,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    time.Second,
+		RetryBase:   100 * time.Millisecond,
+		RetryMax:    time.Second,
 		Jitter:      -1, // disabled: the schedule is the pure exponential
 		Clock:       rc,
-		OnRetry:     func(attempt int, cause string) { causes = append(causes, cause) },
-	})(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		OnEvent:     retryCauses(&causes),
+	}, func(req *http.Request) (*http.Response, error) {
 		if calls.Add(1) < 4 {
 			return stubResp(503), nil
 		}
 		return stubResp(200), nil
-	}))
+	})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	resp, err := rt.RoundTrip(req)
 	if err != nil || resp.StatusCode != 200 {
@@ -235,7 +251,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 
 // TestRetryHonorsRetryAfter: a 429's Retry-After (delay-seconds)
 // stretches the wait beyond the computed backoff but never past
-// MaxDelay.
+// RetryMax.
 func TestRetryHonorsRetryAfter(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -248,20 +264,20 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rc := newRecordClock()
 			var calls atomic.Int32
-			rt := Retry(RetryConfig{
+			rt := layers(ResilienceConfig{
 				MaxAttempts: 2,
-				BaseDelay:   10 * time.Millisecond,
-				MaxDelay:    tc.maxDelay,
+				RetryBase:   10 * time.Millisecond,
+				RetryMax:    tc.maxDelay,
 				Jitter:      -1,
 				Clock:       rc,
-			})(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			}, func(req *http.Request) (*http.Response, error) {
 				if calls.Add(1) == 1 {
 					resp := stubResp(429)
 					resp.Header.Set("Retry-After", "2")
 					return resp, nil
 				}
 				return stubResp(200), nil
-			}))
+			})
 			req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 			resp, err := rt.RoundTrip(req)
 			if err != nil || resp.StatusCode != 200 {
@@ -280,11 +296,11 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 func TestRetryGivesUp(t *testing.T) {
 	rc := newRecordClock()
 	var calls atomic.Int32
-	rt := Retry(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1, Clock: rc})(
-		roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	rt := layers(ResilienceConfig{MaxAttempts: 3, RetryBase: time.Millisecond, Jitter: -1, Clock: rc},
+		func(req *http.Request) (*http.Response, error) {
 			calls.Add(1)
 			return stubResp(503), nil
-		}))
+		})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	resp, err := rt.RoundTrip(req)
 	if err != nil || resp.StatusCode != 503 {
@@ -302,15 +318,15 @@ func TestRetryTransportError(t *testing.T) {
 	rc := newRecordClock()
 	var calls atomic.Int32
 	var causes []string
-	rt := Retry(RetryConfig{
-		MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: -1, Clock: rc,
-		OnRetry: func(_ int, cause string) { causes = append(causes, cause) },
-	})(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	rt := layers(ResilienceConfig{
+		MaxAttempts: 2, RetryBase: time.Millisecond, Jitter: -1, Clock: rc,
+		OnEvent: retryCauses(&causes),
+	}, func(req *http.Request) (*http.Response, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("connection reset")
 		}
 		return stubResp(200), nil
-	}))
+	})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	resp, err := rt.RoundTrip(req)
 	if err != nil || resp.StatusCode != 200 {
@@ -328,15 +344,15 @@ func TestRetryReplaysBody(t *testing.T) {
 	rc := newRecordClock()
 	var calls atomic.Int32
 	var bodies []string
-	rt := Retry(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1, Clock: rc})(
-		roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	rt := layers(ResilienceConfig{MaxAttempts: 3, RetryBase: time.Millisecond, Jitter: -1, Clock: rc},
+		func(req *http.Request) (*http.Response, error) {
 			b, _ := io.ReadAll(req.Body)
 			bodies = append(bodies, string(b))
 			if calls.Add(1) == 1 {
 				return stubResp(503), nil
 			}
 			return stubResp(200), nil
-		}))
+		})
 	req, _ := http.NewRequest(http.MethodPost, "http://graph.test/v1/vertices",
 		strings.NewReader(`{"ids":[1,2]}`))
 	resp, err := rt.RoundTrip(req)
@@ -358,11 +374,11 @@ type opaqueReader struct{ io.Reader }
 func TestRetryRefusesUnreplayableBody(t *testing.T) {
 	rc := newRecordClock()
 	var calls atomic.Int32
-	rt := Retry(RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond, Jitter: -1, Clock: rc})(
-		roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	rt := layers(ResilienceConfig{MaxAttempts: 4, RetryBase: time.Millisecond, Jitter: -1, Clock: rc},
+		func(req *http.Request) (*http.Response, error) {
 			calls.Add(1)
 			return stubResp(503), nil
-		}))
+		})
 	req, _ := http.NewRequest(http.MethodPost, "http://graph.test/v1/vertices",
 		opaqueReader{strings.NewReader("x")})
 	if req.GetBody != nil {
@@ -384,12 +400,12 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	rc := newRecordClock()
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int32
-	rt := Retry(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, Jitter: -1, Clock: rc})(
-		roundTripFunc(func(req *http.Request) (*http.Response, error) {
+	rt := layers(ResilienceConfig{MaxAttempts: 5, RetryBase: time.Millisecond, Jitter: -1, Clock: rc},
+		func(req *http.Request) (*http.Response, error) {
 			calls.Add(1)
 			cancel() // the caller goes away mid-flight
 			return stubResp(503), nil
-		}))
+		})
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://graph.test/v1/meta", nil)
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
@@ -594,13 +610,14 @@ func TestLimiterSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestRateLimitMiddlewareWaits: the middleware waits out exactly the
-// reserved deficit on the limiter's clock.
+// TestRateLimitMiddlewareWaits: the limiter layer waits out exactly
+// the reserved deficit on the configured clock.
 func TestRateLimitMiddlewareWaits(t *testing.T) {
 	rc := newRecordClock()
-	rt := RateLimit(100, 1, rc)(roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		return stubResp(200), nil
-	}))
+	rt := layers(ResilienceConfig{MaxAttempts: 1, RateLimit: 100, RateBurst: 1, Clock: rc},
+		func(req *http.Request) (*http.Response, error) {
+			return stubResp(200), nil
+		})
 	for i := 0; i < 3; i++ {
 		req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 		resp, err := rt.RoundTrip(req)
@@ -648,14 +665,15 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	fc := newFakeClock()
 	var calls atomic.Int32
 	loserCancelled := make(chan struct{})
-	rt := Hedge(50*time.Millisecond, fc)(roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		if calls.Add(1) == 1 {
-			<-req.Context().Done() // hang until hedging cancels us
-			close(loserCancelled)
-			return nil, req.Context().Err()
-		}
-		return stubResp(200), nil
-	}))
+	rt := layers(ResilienceConfig{MaxAttempts: 1, HedgeDelay: 50 * time.Millisecond, Clock: fc},
+		func(req *http.Request) (*http.Response, error) {
+			if calls.Add(1) == 1 {
+				<-req.Context().Done() // hang until hedging cancels us
+				close(loserCancelled)
+				return nil, req.Context().Err()
+			}
+			return stubResp(200), nil
+		})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	type outcome struct {
 		resp *http.Response
@@ -688,10 +706,11 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 func TestHedgeFastFailureDoesNotHedge(t *testing.T) {
 	fc := newFakeClock()
 	var calls atomic.Int32
-	rt := Hedge(50*time.Millisecond, fc)(roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		calls.Add(1)
-		return nil, errors.New("connection refused")
-	}))
+	rt := layers(ResilienceConfig{MaxAttempts: 1, HedgeDelay: 50 * time.Millisecond, Clock: fc},
+		func(req *http.Request) (*http.Response, error) {
+			calls.Add(1)
+			return nil, errors.New("connection refused")
+		})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	if _, err := rt.RoundTrip(req); err == nil {
 		t.Fatal("expected the leg's error")
@@ -706,10 +725,11 @@ func TestHedgeFastFailureDoesNotHedge(t *testing.T) {
 func TestHedgeIneligiblePassesThrough(t *testing.T) {
 	fc := newFakeClock()
 	var calls atomic.Int32
-	rt := Hedge(time.Nanosecond, fc)(roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		calls.Add(1)
-		return stubResp(200), nil
-	}))
+	rt := layers(ResilienceConfig{MaxAttempts: 1, HedgeDelay: time.Nanosecond, Clock: fc},
+		func(req *http.Request) (*http.Response, error) {
+			calls.Add(1)
+			return stubResp(200), nil
+		})
 	req, _ := http.NewRequest(http.MethodPost, "http://graph.test/v1/vertices",
 		opaqueReader{strings.NewReader("x")})
 	resp, err := rt.RoundTrip(req)
@@ -725,38 +745,121 @@ func TestHedgeIneligiblePassesThrough(t *testing.T) {
 // TestAttemptTimeout: a hung transport is cut off by the per-attempt
 // deadline (real wall clock, by design — it bounds real hangs).
 func TestAttemptTimeout(t *testing.T) {
-	rt := AttemptTimeout(5 * time.Millisecond)(roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	}))
+	rt := layers(ResilienceConfig{MaxAttempts: 1, AttemptTimeout: 5 * time.Millisecond},
+		func(req *http.Request) (*http.Response, error) {
+			<-req.Context().Done()
+			return nil, req.Context().Err()
+		})
 	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
 	if _, err := rt.RoundTrip(req); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 }
 
-// TestChainOrder: Chain(a, b) makes a the outermost layer.
+// TestChainOrder pins the layer order retry → breaker → limiter →
+// hedge → attempt timeout → transport, one adjacent pair at a time,
+// through what each order lets a request do.
 func TestChainOrder(t *testing.T) {
-	tag := func(name string) Middleware {
-		return func(next http.RoundTripper) http.RoundTripper {
-			return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-				req.Header.Add("X-Order", name)
-				return next.RoundTrip(req)
-			})
+	const host = "graph.test"
+	get := func(t *testing.T, rt http.RoundTripper) (*http.Response, error) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, "http://"+host+"/v1/meta", nil)
+		return rt.RoundTrip(req)
+	}
+
+	// retry → breaker → limiter: once the first 503 trips the breaker,
+	// the retries are refused without reaching the limiter or the
+	// transport.
+	t.Run("retry, breaker, limiter", func(t *testing.T) {
+		var calls atomic.Int32
+		res := newResilience(ResilienceConfig{
+			MaxAttempts: 3, RetryBase: time.Millisecond, Jitter: -1,
+			BreakerThreshold: 1, BreakerCooldown: time.Hour,
+			RateLimit: 1, RateBurst: 5, Clock: newRecordClock(),
+		})
+		_, err := get(t, res.wrap(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			calls.Add(1)
+			return stubResp(503), nil
+		})))
+		if !errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("err = %v, want the open breaker's refusal", err)
 		}
-	}
-	var seen []string
-	base := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		seen = req.Header.Values("X-Order")
-		return stubResp(200), nil
+		if calls.Load() != 1 {
+			t.Fatalf("transport calls = %d, want 1: retries must pass through the breaker", calls.Load())
+		}
+		if tokens := res.limiter.snapshot()[host]; tokens < 3.5 || tokens > 4.5 {
+			t.Fatalf("limiter balance = %v, want about 4: refused retries must not spend tokens", tokens)
+		}
 	})
-	req, _ := http.NewRequest(http.MethodGet, "http://graph.test/v1/meta", nil)
-	resp, err := Chain(tag("outer"), tag("inner"))(base).RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(seen) != 2 || seen[0] != "outer" || seen[1] != "inner" {
-		t.Fatalf("order = %v, want [outer inner]", seen)
-	}
+
+	// limiter → hedge: a hedged pair is one admission.
+	t.Run("limiter, hedge", func(t *testing.T) {
+		fc := newFakeClock()
+		var calls atomic.Int32
+		res := newResilience(ResilienceConfig{
+			MaxAttempts: 1, RateLimit: 1, RateBurst: 5, HedgeDelay: 50 * time.Millisecond, Clock: fc,
+		})
+		rt := res.wrap(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if calls.Add(1) == 1 {
+				<-req.Context().Done()
+				return nil, req.Context().Err()
+			}
+			return stubResp(200), nil
+		}))
+		done := make(chan error, 1)
+		go func() {
+			resp, err := get(t, rt)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		<-fc.added // the hedge timer is armed
+		fc.Advance(50 * time.Millisecond)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() != 2 {
+			t.Fatalf("legs = %d, want 2", calls.Load())
+		}
+		if tokens := res.limiter.snapshot()[host]; tokens < 3.5 || tokens > 4.5 {
+			t.Fatalf("limiter balance = %v, want about 4: a hedged pair spends one token", tokens)
+		}
+	})
+
+	// hedge → attempt timeout: each hedge leg gets its own deadline.
+	t.Run("hedge, attempt timeout", func(t *testing.T) {
+		fc := newFakeClock()
+		var calls atomic.Int32
+		deadlines := make(chan time.Time, 2)
+		rt := layers(ResilienceConfig{
+			MaxAttempts: 1, HedgeDelay: 50 * time.Millisecond, AttemptTimeout: time.Hour, Clock: fc,
+		}, func(req *http.Request) (*http.Response, error) {
+			d, _ := req.Context().Deadline()
+			deadlines <- d
+			if calls.Add(1) == 1 {
+				<-req.Context().Done()
+				return nil, req.Context().Err()
+			}
+			return stubResp(200), nil
+		})
+		done := make(chan error, 1)
+		go func() {
+			resp, err := get(t, rt)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		first := <-deadlines
+		<-fc.added
+		fc.Advance(50 * time.Millisecond)
+		second := <-deadlines
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if first.IsZero() || !second.After(first) {
+			t.Fatalf("leg deadlines %v and %v: each hedge leg must arm its own", first, second)
+		}
+	})
 }
